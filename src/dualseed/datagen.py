@@ -22,6 +22,7 @@ from .errors import (
     DualseedError,
     InfeasibleMask,
     NonFinite,
+    NonSquare,
     TruncatedFile,
     VersionMismatch,
 )
@@ -229,9 +230,11 @@ def _unpack_matrix(data: bytes, offset: int, source: str) -> tuple[CostMatrix, i
     if len(data) < offset + nbytes:
         raise TruncatedFile(f"{source}: matrix payload cut short")
     values = np.frombuffer(data, dtype="<f8", count=n * n, offset=offset).astype(np.float64)
-    if not np.isfinite(values).all():
-        raise NonFinite(f"{source}: matrix payload contains NaN or infinity")
-    c = CostMatrix(values.reshape(n, n), float(sentinel) if flags & FLAG_HAS_SENTINEL else None)
+    sentinel = float(sentinel) if flags & FLAG_HAS_SENTINEL else None
+    try:
+        c = CostMatrix.from_array(values.reshape(n, n), sentinel)
+    except (NonSquare, NonFinite) as exc:
+        raise type(exc)(f"{source}: {exc}") from None
     return c, offset + nbytes
 
 

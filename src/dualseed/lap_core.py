@@ -7,6 +7,12 @@ harvest the equality subgraph with one greedy pass, and go straight to
 augmentation. Both paths return an optimal assignment together with feasible
 potentials that certify it.
 
+Each augmenting search is Dijkstra's algorithm over reduced costs with the
+tie rule of Jonker & Volgenant's LAPJV: when an unassigned column sits at the
+minimal distance, the search ends there instead of popping a tied assigned
+column first. The rule changes which optimal assignment comes back when
+several are optimal, never its cost.
+
 Reduced costs are always evaluated as (C - u) - v in that association: when v
 was produced as a columnwise min of (C - u), feasibility then holds exactly in
 floating point, not merely up to rounding.
@@ -23,6 +29,7 @@ from .errors import InfeasibleSeed, NonFinite, NonSquare, ShapeMismatch, TooLarg
 FEAS_TOL = 1e-9
 EQ_TOL = 1e-9
 BRUTE_FORCE_LIMIT = 10
+BRUTE_FORCE_CHUNK = 1 << 14  # permutations summed per vectorised block
 
 # phase keys reported in SolveStats.phase_times (nanoseconds)
 PHASE_INIT = "init"
@@ -92,12 +99,18 @@ class SolveStats:
     counts augmenting searches whose shortest-path length exceeded eq_tol,
     i.e. searches that actually moved the potentials; paths inside the
     equality subgraph leave the duals untouched and are not counted.
+    scanned_columns sums, over the searches, the columns each one finished:
+    every column it popped plus the unassigned column it ended at. It is the
+    work that sets the augment phase's time. Under the LAPJV tie rule a
+    search ends as soon as an unassigned column reaches the minimal
+    distance, so it stops before scanning the assigned columns tied with it.
     """
 
     greedy_matched: int = 0
     free_rows: int = 0
     augment_searches: int = 0
     dual_update_steps: int = 0
+    scanned_columns: int = 0
     phase_times: dict = field(default_factory=dict)
 
 
@@ -126,7 +139,9 @@ def brute_force(c: CostMatrix) -> tuple[float, np.ndarray]:
 
     Ties are broken toward the lexicographically smallest permutation, which
     falls out of enumerating permutations in lexicographic order and keeping
-    only strict improvements.
+    only strict improvements. Permutations are summed in blocks of
+    BRUTE_FORCE_CHUNK; each row of a block is summed along its contiguous
+    axis, which gives the same bits as summing one permutation at a time.
     """
     n = c.n
     if n > BRUTE_FORCE_LIMIT:
@@ -135,12 +150,15 @@ def brute_force(c: CostMatrix) -> tuple[float, np.ndarray]:
     rows = np.arange(n)
     best_cost = np.inf
     best_perm = None
-    for perm in itertools.permutations(range(n)):
-        cost = float(values[rows, perm].sum())
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm
-    return best_cost, np.array(best_perm, dtype=np.int64)
+    perms = itertools.permutations(range(n))
+    while block := list(itertools.islice(perms, BRUTE_FORCE_CHUNK)):
+        block = np.array(block, dtype=np.int64)
+        costs = values[rows, block].sum(axis=1)
+        k = int(np.argmin(costs))
+        if costs[k] < best_cost:
+            best_cost = float(costs[k])
+            best_perm = block[k].copy()
+    return best_cost, best_perm
 
 
 def verify_certificate(
@@ -243,8 +261,38 @@ def center_duals(
     return DualPotentials(u, v)
 
 
+def _trace_path(values, u, v, end, cols, rows, mus):
+    """Alternating path of a finished search as (column, row) pairs, end first.
+
+    rows[0] is the free row at distance mus[0] = 0; rows[p] for p >= 1 owns
+    cols[p - 1], popped at distance mus[p]. A column's predecessor is the
+    earliest of the rows relaxed before it was popped that reached its final
+    distance. The candidates are recomputed with the search's own arithmetic,
+    so the comparison is exact; this replaces a predecessor array rewritten
+    on every pop. Must run before the duals move.
+    """
+    path = []
+    j, t = end, len(rows)
+    while True:
+        r = rows[:t]
+        p = int(np.argmin(((values[r, j] - u[r]) + mus[:t]) - v[j]))
+        path.append((j, rows[p]))
+        if p == 0:
+            return path
+        j, t = cols[p - 1], p
+
+
 def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, eq_tol, stats):
     """Resolve each free row with a Dijkstra search over reduced costs.
+
+    Each pop takes the lowest-index open column at the minimal distance mu,
+    except that an unassigned column at mu ends the search at once (the
+    LAPJV rule; any column at mu is a valid pop, so the optimum is the same,
+    but on ties the returned assignment can differ). A popped column's row is
+    relaxed over its contiguous row of C; finished columns sit at +inf in the
+    open distances and at -inf in the column potentials used for relaxing,
+    so the relaxation cannot reopen them. stats.scanned_columns adds the
+    columns each search finished, its end column included.
 
     Potentials move only when the shortest path length exceeds eq_tol;
     zero-length paths (within the equality subgraph) augment the matching
@@ -252,47 +300,45 @@ def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, eq_t
     bit-identically.
     """
     n = values.shape[0]
+    alt = np.empty(n)
     for f in free_rows:
         stats.augment_searches += 1
-        d = (values[f] - u[f]) - v
-        pred = np.full(n, f, dtype=np.int64)
-        done = np.zeros(n, dtype=bool)
+        free_cols = np.flatnonzero(col_to_row < 0)
+        d_open = (values[f] - u[f]) - v
+        v_open = v.copy()
+        cols, rows, mus = [], [f], [0.0]
         while True:
-            d_open = np.where(done, np.inf, d)
-            j = int(np.argmin(d_open))
+            j = d_open.argmin()
             mu = d_open[j]
-            done[j] = True
-            if col_to_row[j] < 0:
-                end = j
+            d_free = d_open[free_cols]
+            k = d_free.argmin()
+            if d_free[k] == mu:
+                end = free_cols[k]
                 break
             i1 = col_to_row[j]
-            open_idx = np.flatnonzero(~done)
-            alt = mu + (values[i1, open_idx] - u[i1]) - v[open_idx]
-            upd = alt < d[open_idx]
-            hit = open_idx[upd]
-            d[hit] = alt[upd]
-            pred[hit] = i1
+            cols.append(j)
+            rows.append(i1)
+            mus.append(mu)
+            d_open[j] = np.inf
+            v_open[j] = -np.inf
+            np.subtract(values[i1], u[i1], out=alt)
+            alt += mu
+            alt -= v_open
+            np.minimum(d_open, alt, out=d_open)
+        stats.scanned_columns += len(cols) + 1
+        rows = np.array(rows, dtype=np.int64)
+        mus = np.array(mus, dtype=np.float64)
+        path = _trace_path(values, u, v, end, cols, rows, mus)
 
         if mu > eq_tol:
             stats.dual_update_steps += 1
-            fin = np.flatnonzero(done)
-            delta = mu - d[fin]
-            owners = col_to_row[fin]
-            has_owner = owners >= 0
-            u[owners[has_owner]] += delta[has_owner]
-            u[f] += mu
-            v[fin] -= delta
+            delta = mu - mus
+            u[rows] += delta
+            v[cols] -= delta[1:]
 
-        # trace the alternating path back from the free column
-        j = end
-        while True:
-            i = pred[j]
+        for j, i in path:
             col_to_row[j] = i
-            j_prev = row_to_col[i]
             row_to_col[i] = j
-            if i == f:
-                break
-            j = j_prev
 
 
 def solve_cold(c: CostMatrix, eq_tol: float = EQ_TOL) -> tuple[Assignment, DualPotentials, SolveStats]:
@@ -338,8 +384,10 @@ def solve_seeded(
 
     One greedy pass matches rows to equality edges (r_ij <= eq_tol, rows in
     index order, lowest-index free column wins), then the augmentation phase
-    finishes the matching. Raises InfeasibleSeed when the seed violates
-    feasibility beyond feas_tol.
+    finishes the matching, with the same LAPJV tie rule as solve_cold.
+    Raises NonFinite when u or v holds NaN or infinity (a NaN would slip
+    through the feasibility comparison), and InfeasibleSeed when the seed
+    violates feasibility beyond feas_tol.
     """
     values = c.values
     n = c.n
@@ -352,6 +400,8 @@ def solve_seeded(
     t0 = time.perf_counter_ns()
     u = np.asarray(seed.u, dtype=np.float64).copy()
     v = np.asarray(seed.v, dtype=np.float64).copy()
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise NonFinite("seed potentials contain NaN or infinity")
     r = reduced_costs(values, u, v)
     if r.min() < -feas_tol:
         raise InfeasibleSeed(f"seed violates feasibility by {-float(r.min()):.3e}")

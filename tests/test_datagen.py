@@ -1,9 +1,13 @@
 """Generators, label construction, and file format tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from dualseed.datagen import (
+    FORMAT_VERSION,
+    MATRIX_MAGIC,
     BlockParams,
     LabeledInstance,
     default_sentinel,
@@ -22,6 +26,7 @@ from dualseed.errors import (
     BadMagic,
     InfeasibleMask,
     NonFinite,
+    NonSquare,
     TruncatedFile,
     VersionMismatch,
 )
@@ -275,6 +280,14 @@ def test_matrix_nonfinite_rejected(tmp_path):
     blob[-8:] = np.float64(np.nan).tobytes()
     path.write_bytes(bytes(blob))
     with pytest.raises(NonFinite):
+        read_matrix(str(path))
+
+
+def test_matrix_zero_size_rejected_on_load(tmp_path):
+    # header written by hand: magic, version, n = 0, no sentinel; no payload
+    path = tmp_path / "empty.lapm"
+    path.write_bytes(MATRIX_MAGIC + struct.pack("<BIBd", FORMAT_VERSION, 0, 0, 0.0))
+    with pytest.raises(NonSquare):
         read_matrix(str(path))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualseed.datagen import BlockParams, gen_block
 from dualseed.errors import InfeasibleSeed, NonFinite, NonSquare, ShapeMismatch, TooLarge
 from dualseed.lap_core import (
     Assignment,
@@ -18,6 +19,7 @@ from dualseed.lap_core import (
     solve_seeded,
     verify_certificate,
 )
+from dualseed.warmstart import min_trick
 
 
 def _random_matrix(rng, n, integer=False):
@@ -73,6 +75,33 @@ def test_brute_force_lexicographic_ties():
     cost, perm = brute_force(c)
     assert cost == 12.0
     assert list(perm) == [0, 1, 2, 3]
+
+
+def _brute_force_loop(c):
+    """Reference: one permutation at a time, strict improvements only."""
+    rows = np.arange(c.n)
+    best_cost, best_perm = np.inf, None
+    for perm in itertools.permutations(range(c.n)):
+        cost = float(c.values[rows, perm].sum())
+        if cost < best_cost:
+            best_cost, best_perm = cost, perm
+    return best_cost, np.array(best_perm, dtype=np.int64)
+
+
+def test_brute_force_bit_identical_to_loop_reference():
+    # n = 8 spans several blocks of permutations; integer costs make ties
+    # that the lexicographic rule must break the same way across blocks
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 5, 7, 8):
+        for integer in (False, True):
+            c = _random_matrix(rng, n, integer=integer)
+            cost, perm = brute_force(c)
+            ref_cost, ref_perm = _brute_force_loop(c)
+            assert cost == ref_cost
+            assert np.array_equal(perm, ref_perm)
+    cost, perm = brute_force(CostMatrix.from_array(np.full((8, 8), 0.1)))
+    assert list(perm) == list(range(8))
+    assert cost == _brute_force_loop(CostMatrix.from_array(np.full((8, 8), 0.1)))[0]
 
 
 def test_brute_force_size_guard():
@@ -145,6 +174,29 @@ def test_cold_deterministic():
     assert (s1.greedy_matched, s1.dual_update_steps) == (s2.greedy_matched, s2.dual_update_steps)
 
 
+def test_cold_tie_with_free_column_ends_search():
+    # column reduction assigns row 0 -> col 0 and row 1 -> col 1 and leaves
+    # row 2 and col 2 free; row 2 starts its search with col 0 (assigned)
+    # and col 2 (free) both at distance 0, so it ends at col 2 at once
+    c = CostMatrix.from_array(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    a, d, s = solve_cold(c)
+    assert (s.greedy_matched, s.augment_searches) == (2, 1)
+    assert s.scanned_columns == 1
+    assert list(a.row_to_col) == [0, 1, 2]
+    assert a.total_cost == 1.0
+    assert verify_certificate(c, a, d)
+
+
+def test_cold_block_searches_scan_few_columns():
+    searches = scanned = 0
+    for k in range(4):
+        _, _, s = solve_cold(gen_block(BlockParams(n=256, seed=1), stream_index=k))
+        searches += s.augment_searches
+        scanned += s.scanned_columns
+    assert searches > 0
+    assert scanned / searches <= 5
+
+
 # -------------------------------------------------------------- solve_seeded
 
 def test_seeded_equality_edges_example():
@@ -170,6 +222,18 @@ def test_seeded_rejects_infeasible():
     c = CostMatrix.from_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(InfeasibleSeed):
         solve_seeded(c, DualPotentials(np.array([2.0, 0.0]), np.array([0.0, 0.0])))
+
+
+def test_seeded_rejects_nan_in_u():
+    c = CostMatrix.from_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NonFinite):
+        solve_seeded(c, DualPotentials(np.array([np.nan, 0.0]), np.zeros(2)))
+
+
+def test_seeded_rejects_inf_in_v():
+    c = CostMatrix.from_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NonFinite):
+        solve_seeded(c, DualPotentials(np.zeros(2), np.array([0.0, -np.inf])))
 
 
 def test_seeded_rejects_wrong_shape():
@@ -204,6 +268,30 @@ def test_seed_independence_of_value_200_seeds():
         assert verify_certificate(c, a, d)
         assert s.greedy_matched + s.free_rows == 32
         assert s.augment_searches == s.free_rows
+
+
+def _tie_heavy(family, n, rng):
+    if family == "int0to3":
+        return CostMatrix.from_array(rng.integers(0, 4, size=(n, n)).astype(np.float64))
+    if family == "signed-grid":
+        return CostMatrix.from_array(0.2 * rng.integers(-10, 11, size=(n, n)))
+    return gen_block(BlockParams(n=n, seed=int(rng.integers(2**31))))
+
+
+@pytest.mark.parametrize("family", ["int0to3", "signed-grid", "block"])
+def test_differential_vs_scipy_on_tie_heavy_costs(family):
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(41)
+    for n in [*range(1, 61), 200, 200, 200]:
+        c = _tie_heavy(family, n, rng)
+        rows, cols = linear_sum_assignment(c.values)
+        optimum = float(c.values[rows, cols].sum())
+        seeds = [min_trick(c, rng.normal(0.0, 1.0, n)) for _ in range(2)]
+        results = [solve_cold(c)] + [solve_seeded(c, seed) for seed in seeds]
+        for a, d, s in results:
+            assert abs(a.total_cost - optimum) <= 1e-9 * max(1.0, abs(optimum)), (family, n)
+            assert verify_certificate(c, a, d), (family, n)
+            assert s.augment_searches <= s.scanned_columns
 
 
 # --------------------------------------------------------- verify_certificate
