@@ -21,6 +21,12 @@ def seed_row_mean(c: CostMatrix) -> np.ndarray:
     return c.values.mean(axis=1)
 
 
+def seed_row_min(c: CostMatrix) -> np.ndarray:
+    """u_i = min_j C_ij, the Hungarian row reduction: a seed that costs one
+    pass over C and no training, the bar a learned seed has to clear."""
+    return c.values.min(axis=1)
+
+
 def seed_random(c: CostMatrix, seed: int) -> np.ndarray:
     """i.i.d. uniform(0,1) potentials; deterministic per seed."""
     rng = substream(seed, STREAM_SEED_RANDOM)

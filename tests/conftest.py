@@ -21,7 +21,7 @@ import pytest
 
 # Training recipe for the gate model (acceptance criteria 4, 7, 8, 9).
 # Architecture and optimizer settings follow the package defaults
-# (H=192, 3 residual blocks, K=16, AdamW 1e-3 / wd 1e-4, plateau scheduler);
+# (H=64, 1 residual block, K=16, AdamW 1e-3 / wd 1e-4, plateau scheduler);
 # the knobs below were selected on a tuning split disjoint from the
 # acceptance held-out set.
 GATE_TRAIN_SEED = 2000  # PRNG seed for the 200 training matrices

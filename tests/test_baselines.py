@@ -13,6 +13,7 @@ from dualseed.baselines import (
     seed_linreg,
     seed_random,
     seed_row_mean,
+    seed_row_min,
     seed_subgradient,
     train_linreg,
 )
@@ -40,6 +41,18 @@ def test_row_mean_constant_matrix_fully_tight():
 def test_row_mean_1x1():
     c = CostMatrix.from_array(np.array([[4.2]]))
     assert np.array_equal(seed_row_mean(c), np.array([4.2]))
+
+
+# ------------------------------------------------------------------ row min
+
+def test_row_min_hand_computed():
+    c = CostMatrix.from_array(np.array([[3.0, 1.0, 2.0], [6.0, 6.0, 6.0], [-1.0, 0.0, 5.0]]))
+    u_hat = seed_row_min(c)
+    assert np.array_equal(u_hat, np.array([1.0, 6.0, -1.0]))
+    # every row keeps a zero reduced cost at its minimum, so the completion
+    # gives v = 0 wherever a column holds some row's minimum
+    d = min_trick(c, u_hat)
+    assert np.array_equal(d.v, np.array([0.0, 0.0, 0.0]))
 
 
 # ------------------------------------------------------------------- random
@@ -205,6 +218,7 @@ def test_every_baseline_yields_exact_optimum():
         weights = train_linreg([inst])
         seeds = {
             "row_mean": seed_row_mean(c),
+            "row_min": seed_row_min(c),
             "random": seed_random(c, seed=trial),
             "linreg": seed_linreg(inst.features, weights),
             "median": seed_learned_median(inst.u_star[None, :]),
