@@ -1,11 +1,14 @@
 """Experiment harness: strategy grids, statistics, and sensitivity sweeps.
 
-run_experiment executes every requested seed strategy on identical instances
-with monotonic timing and cross-checks that all strategies report the same
-optimal cost. summarize turns raw records into mean-of-ratios speedups with
-normal-approximation confidence intervals; breakdown_table splits wall time
-into the five pipeline stages. The sweeps vary seed noise, sparsity, the
-refinement width K, row permutations, and feature dimension.
+STRATEGIES is the one table of seed strategies, read by the benchmark and by
+`dualseed solve`. run_cells runs a spec's strategies over (size, trial,
+instance) cells with monotonic timing and cross-checks that all strategies
+report the same optimal cost; run_experiment and every sweep but the noise
+sweep (which seeds the solver directly) feed it their cells. summarize turns
+raw records into mean-of-ratios speedups with normal-approximation
+confidence intervals; breakdown_table splits wall time into the five
+pipeline stages. The sweeps vary seed noise, sparsity, the refinement width
+K, row permutations, and feature dimension.
 
 Timing protocol: one untimed warm-up run per (strategy, size) before the
 timed trials; all timed runs for one instance execute sequentially.
@@ -16,6 +19,7 @@ import dataclasses
 import json
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import DualseedError, InsufficientTrials
 from ._rng import STREAM_NOISE, STREAM_PERMUTATION, substream
-from .lap_core import Assignment, CostMatrix, SolveStats, solve_cold, solve_seeded
+from .lap_core import CostMatrix, solve_cold, solve_seeded
 from .warmstart import (
     STAGE_FALLBACK,
     STAGE_FEATURES,
@@ -31,8 +35,8 @@ from .warmstart import (
     STAGE_MODEL,
     STAGE_NAMES,
     STAGE_SOLVER,
-    FeatureMatrix,
     PipelineConfig,
+    PipelineReport,
     equality_density,
     extract_features,
     min_trick,
@@ -40,16 +44,68 @@ from .warmstart import (
 )
 from . import baselines, datagen, rowdualnet
 
-ALL_STRATEGIES = (
-    "cold",
-    "neural",
-    "row_mean",
-    "random",
-    "linreg",
-    "median",
-    "subgradient",
-    "optimal_oracle",
-)
+
+@dataclass(frozen=True)
+class Strategy:
+    """One seed strategy: whether it reads the feature stage, and
+    make_predict(c, prep) -> predict(feats) -> row potentials.
+
+    make_predict runs before the pipeline's timed stages. prep holds what was
+    prepared for the instance's size: "seed" and "model", plus "linreg",
+    "median" and "subgradient_cfg" once fitted. make_predict None marks the
+    cold solve, which runs no pipeline stage.
+    """
+
+    needs_features: bool
+    make_predict: Callable | None
+
+
+def _prepared(prep: dict, key: str, missing: str):
+    value = prep.get(key)
+    if value is None:
+        raise DualseedError(missing)
+    return value
+
+
+def _neural(c, prep):
+    model = _prepared(prep, "model", "neural needs a model checkpoint")
+    return lambda feats: rowdualnet.forward(model, feats, c)
+
+
+def _linreg(c, prep):
+    weights = _prepared(prep, "linreg", "linreg needs weights fitted on a bench corpus")
+    return lambda feats: baselines.seed_linreg(feats, weights)
+
+
+def _median(c, prep):
+    u = _prepared(prep, "median", "median needs the u* of a bench corpus")
+    return lambda feats: u
+
+
+def _subgradient(c, prep):
+    cfg = _prepared(prep, "subgradient_cfg", "subgradient needs a time budget")
+    return lambda feats: baselines.seed_subgradient(c, cfg)
+
+
+def _oracle(c, prep):
+    # Solver-vertex duals: their completion reproduces the seed exactly, so
+    # the seeded solve performs zero dual updates.
+    u_star = datagen.gen_labels(c, center=False).u_star
+    return lambda feats: u_star
+
+
+STRATEGIES = {
+    "cold": Strategy(False, None),
+    "neural": Strategy(True, _neural),
+    "row_mean": Strategy(False, lambda c, prep: lambda feats: baselines.seed_row_mean(c)),
+    "row_min": Strategy(False, lambda c, prep: lambda feats: baselines.seed_row_min(c)),
+    "random": Strategy(False, lambda c, prep: lambda feats: baselines.seed_random(c, prep["seed"])),
+    "linreg": Strategy(True, _linreg),
+    "median": Strategy(False, _median),
+    "subgradient": Strategy(False, _subgradient),
+    "optimal_oracle": Strategy(False, _oracle),
+}
+ALL_STRATEGIES = tuple(STRATEGIES)
 
 SUMMARY_HEADER = (
     "strategy,n,trials,mean_ratio,ci_lo,ci_hi,median_ratio,cv,"
@@ -84,9 +140,9 @@ class ExperimentSpec:
         if not self.strategies:
             raise ValueError("strategies must be non-empty")
         for s in self.strategies:
-            if s not in ALL_STRATEGIES:
+            if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r} (choose from {ALL_STRATEGIES})")
-        if not (self.generator in ("dense", "block") or self.generator.startswith("file:")):
+        if not (self.generator in datagen.GENERATORS or self.generator.startswith("file:")):
             raise ValueError("generator must be dense, block, or file:<path>")
 
 
@@ -214,48 +270,39 @@ def _generate_instances(spec: ExperimentSpec, n: int) -> list:
 
 def generate_instance(spec: ExperimentSpec, n: int, trial: int) -> CostMatrix:
     """The instance shared by every strategy in one (size, trial) cell."""
-    if spec.generator == "dense":
-        return datagen.gen_dense(n, seed=spec.seed, stream_index=trial)
-    if spec.generator == "block":
-        params = datagen.BlockParams(
-            n=n,
-            num_groups=spec.block_groups,
-            noise_sigma=spec.block_noise,
-            seed=spec.seed,
-        )
-        return datagen.gen_block(params, stream_index=trial)
-    return datagen.read_matrix(spec.generator[len("file:") :])
+    if spec.generator.startswith("file:"):
+        return datagen.read_matrix(spec.generator[len("file:") :])
+    return datagen.generate(
+        spec.generator, n, spec.seed, trial, spec.block_groups, spec.block_noise
+    )
 
 
-class _StrategyRunner:
-    """A named predictor plus whether it consumes the feature stage."""
-
-    def __init__(self, name, needs_features, make_predict):
-        self.name = name
-        self.needs_features = needs_features
-        self.make_predict = make_predict  # (c, prep) -> callable(feats) -> u_hat
-
-    def run(self, c: CostMatrix, prep: dict, cfg: PipelineConfig):
-        predict = self.make_predict(c, prep)
-        return run_pipeline(c, predict, cfg, needs_features=self.needs_features)
+def _corpus(spec: ExperimentSpec, n: int, count: int, cfg: PipelineConfig) -> list:
+    """Labelled instances from streams PREP_STREAM_BASE on, so no corpus
+    matrix is a benchmarked one; a file: generator gives its one matrix."""
+    if spec.generator.startswith("file:"):
+        count = 1
+    return [
+        datagen.gen_labels(generate_instance(spec, n, PREP_STREAM_BASE + i), cfg)
+        for i in range(count)
+    ]
 
 
-def _run_cold(c: CostMatrix, cfg: PipelineConfig):
-    t0 = time.perf_counter_ns()
-    assignment, _, stats = solve_cold(c, eq_tol=cfg.eq_tol)
-    t1 = time.perf_counter_ns()
+def run_strategy(name: str, c: CostMatrix, prep: dict, cfg: PipelineConfig) -> tuple:
+    """Solve c with the named strategy: (assignment, PipelineReport).
 
-    class _Report:
-        stage_times = {name: 0 for name in STAGE_NAMES}
-        density_rho = None
-        fallback_triggered = None
-        solve_stats = stats
-        total_cost = assignment.total_cost
-
-    report = _Report()
-    report.stage_times = dict(report.stage_times)
-    report.stage_times[STAGE_SOLVER] = t1 - t0
-    return assignment, report
+    A cold solve times only the solver stage and reports no gate.
+    """
+    strategy = STRATEGIES[name]
+    if strategy.make_predict is None:
+        t0 = time.perf_counter_ns()
+        assignment, _, stats = solve_cold(c, eq_tol=cfg.eq_tol)
+        stage_times = dict.fromkeys(STAGE_NAMES, 0)
+        stage_times[STAGE_SOLVER] = time.perf_counter_ns() - t0
+        report = PipelineReport(stage_times, None, None, stats, assignment.total_cost)
+        return assignment, report
+    predict = strategy.make_predict(c, prep)
+    return run_pipeline(c, predict, cfg, needs_features=strategy.needs_features)
 
 
 def _measure_forward_ns(model, inst) -> int:
@@ -268,34 +315,27 @@ def _measure_forward_ns(model, inst) -> int:
     return best
 
 
+def _load_model(spec: ExperimentSpec):
+    if "neural" not in spec.strategies:
+        return None
+    if spec.checkpoint is None:
+        raise ValueError("neural strategy requires a checkpoint path")
+    return rowdualnet.load_checkpoint(spec.checkpoint, expect_input_dim=spec.pipeline.feature_dim)
+
+
 def _prepare_size(spec: ExperimentSpec, n: int, model) -> dict:
-    """Untimed per-size artifacts: fitted baselines and the oracle corpus."""
-    prep = {"model": model}
-    needs_corpus = {"linreg", "median", "subgradient"} & set(spec.strategies)
-    if needs_corpus:
-        corpus = []
-        for i in range(PREP_CORPUS_SIZE):
-            if spec.generator == "block":
-                params = datagen.BlockParams(
-                    n=n, num_groups=spec.block_groups,
-                    noise_sigma=spec.block_noise, seed=spec.seed,
-                )
-                c = datagen.gen_block(params, stream_index=PREP_STREAM_BASE + i)
-            elif spec.generator == "dense":
-                c = datagen.gen_dense(n, seed=spec.seed, stream_index=PREP_STREAM_BASE + i)
-            else:  # fixed file instance: corpus of one
-                c = generate_instance(spec, n, 0)
-                corpus = [datagen.gen_labels(c, spec.pipeline)]
-                break
-            corpus.append(datagen.gen_labels(c, spec.pipeline))
-        prep["corpus"] = corpus
-        if "linreg" in spec.strategies:
+    """Untimed per-size prep: the seed, the model and the fitted baselines."""
+    prep = {"seed": spec.seed, "model": model}
+    fitted = {"linreg", "median", "subgradient"} & set(spec.strategies)
+    if fitted:
+        corpus = _corpus(spec, n, PREP_CORPUS_SIZE, spec.pipeline)
+        if "linreg" in fitted:
             prep["linreg"] = baselines.train_linreg(corpus)
-        if "median" in spec.strategies:
+        if "median" in fitted:
             prep["median"] = baselines.seed_learned_median(
                 np.stack([inst.u_star for inst in corpus])
             )
-        if "subgradient" in spec.strategies:
+        if "subgradient" in fitted:
             if model is not None:
                 budget = _measure_forward_ns(model, corpus[0])
             else:
@@ -306,92 +346,52 @@ def _prepare_size(spec: ExperimentSpec, n: int, model) -> dict:
     return prep
 
 
-def _build_runners(spec: ExperimentSpec) -> dict:
-    runners = {}
-    for name in spec.strategies:
-        if name == "cold":
-            continue
-        if name == "neural":
-            runners[name] = _StrategyRunner(
-                name, True,
-                lambda c, prep: (lambda feats: rowdualnet.forward(prep["model"], feats, c)),
-            )
-        elif name == "row_mean":
-            runners[name] = _StrategyRunner(
-                name, False, lambda c, prep: (lambda feats: baselines.seed_row_mean(c))
-            )
-        elif name == "random":
-            runners[name] = _StrategyRunner(
-                name, False,
-                lambda c, prep: (lambda feats: baselines.seed_random(c, spec.seed)),
-            )
-        elif name == "linreg":
-            runners[name] = _StrategyRunner(
-                name, True,
-                lambda c, prep: (lambda feats: baselines.seed_linreg(feats, prep["linreg"])),
-            )
-        elif name == "median":
-            runners[name] = _StrategyRunner(
-                name, False, lambda c, prep: (lambda feats: prep["median"])
-            )
-        elif name == "subgradient":
-            runners[name] = _StrategyRunner(
-                name, False,
-                lambda c, prep: (lambda feats: baselines.seed_subgradient(c, prep["subgradient_cfg"])),
-            )
-        elif name == "optimal_oracle":
-            runners[name] = _StrategyRunner(
-                name, False, lambda c, prep: (lambda feats: prep["oracle_u"])
-            )
-    return runners
+def _prepare_sizes(spec: ExperimentSpec, model) -> dict:
+    return {n: _prepare_size(spec, n, model) for n in spec.sizes}
+
+
+def _grid_cells(spec: ExperimentSpec, preps: dict, transform=None):
+    """(n, trial, instance, preps[n]) over the spec's sizes and trials;
+    transform(instance, trial) -> instance derives what is benchmarked."""
+    for n in spec.sizes:
+        for trial, c in enumerate(_generate_instances(spec, n)):
+            yield n, trial, c if transform is None else transform(c, trial), preps[n]
+
+
+def run_cells(spec: ExperimentSpec, cells) -> list:
+    """Run every strategy of spec on each (n, trial, instance, prep) cell.
+
+    Each strategy runs once untimed before its first timed run at each size.
+    A DualseedError becomes an error record; the strategies that succeed on
+    a cell must agree on its optimal cost, or DualseedError is raised.
+    """
+    records = []
+    warmed = set()
+    for n, trial, c, prep in cells:
+        cell_costs = {}
+        for name in spec.strategies:
+            try:
+                if (name, n) not in warmed:
+                    run_strategy(name, c, prep, spec.pipeline)
+                    warmed.add((name, n))
+                _, report = run_strategy(name, c, prep, spec.pipeline)
+                rec = _record_from_report(name, n, trial, report)
+                cell_costs[name] = rec.total_cost
+            except DualseedError as exc:
+                rec = RunRecord(strategy=name, n=n, trial=trial, error=str(exc))
+            records.append(rec)
+        if len(cell_costs) > 1:
+            costs = list(cell_costs.values())
+            if max(costs) - min(costs) > 1e-9 * max(1.0, abs(max(costs))):
+                raise DualseedError(
+                    f"cost disagreement at n={n} trial={trial}: {cell_costs}"
+                )
+    return records
 
 
 def run_experiment(spec: ExperimentSpec, out_path: str | None = None) -> list:
     """Run the grid; returns records (and writes line-delimited JSON)."""
-    model = None
-    if "neural" in spec.strategies:
-        if spec.checkpoint is None:
-            raise ValueError("neural strategy requires a checkpoint path")
-        model = rowdualnet.load_checkpoint(
-            spec.checkpoint, expect_input_dim=spec.pipeline.feature_dim
-        )
-    runners = _build_runners(spec)
-    records = []
-    for n in spec.sizes:
-        prep = _prepare_size(spec, n, model)
-        instances = _generate_instances(spec, n)
-        warmed = set()
-        for trial in range(spec.trials):
-            c = instances[trial]
-            if "optimal_oracle" in spec.strategies:
-                # Solver-vertex duals: their completion reproduces the seed
-                # exactly, so the seeded solve performs zero dual updates.
-                prep["oracle_u"] = datagen.gen_labels(c, spec.pipeline, center=False).u_star
-            cell_costs = {}
-            for name in spec.strategies:
-                try:
-                    if name == "cold":
-                        if ("cold", n) not in warmed:
-                            _run_cold(c, spec.pipeline)
-                            warmed.add(("cold", n))
-                        _, report = _run_cold(c, spec.pipeline)
-                    else:
-                        runner = runners[name]
-                        if (name, n) not in warmed:
-                            runner.run(c, prep, spec.pipeline)
-                            warmed.add((name, n))
-                        _, report = runner.run(c, prep, spec.pipeline)
-                    rec = _record_from_report(name, n, trial, report)
-                    cell_costs[name] = rec.total_cost
-                except DualseedError as exc:
-                    rec = RunRecord(strategy=name, n=n, trial=trial, error=str(exc))
-                records.append(rec)
-            if len(cell_costs) > 1:
-                costs = list(cell_costs.values())
-                if max(costs) - min(costs) > 1e-9 * max(1.0, abs(max(costs))):
-                    raise DualseedError(
-                        f"cost disagreement at n={n} trial={trial}: {cell_costs}"
-                    )
+    records = run_cells(spec, _grid_cells(spec, _prepare_sizes(spec, _load_model(spec))))
     if out_path is not None:
         write_records(out_path, records, spec)
     return records
@@ -611,7 +611,7 @@ def noise_csv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _axis_rows(spec: ExperimentSpec, axis_name: str, axis_value, records: list) -> list:
+def _axis_rows(axis_name: str, axis_value, records: list) -> list:
     rows = []
     for srow in summarize(records):
         if srow.strategy == "cold":
@@ -654,141 +654,73 @@ def axis_csv(axis_name: str, rows: list) -> str:
 
 def sweep_sparsity(spec: ExperimentSpec, fractions: list) -> list:
     """Re-run the grid on progressively sparsified copies of each instance."""
+    preps = _prepare_sizes(spec, _load_model(spec))
     rows = []
     for fraction in fractions:
-        records = []
-        model = None
-        if "neural" in spec.strategies:
-            model = rowdualnet.load_checkpoint(
-                spec.checkpoint, expect_input_dim=spec.pipeline.feature_dim
-            )
-        runners = _build_runners(spec)
-        for n in spec.sizes:
-            prep = _prepare_size(spec, n, model)
-            for trial in range(spec.trials):
-                base = generate_instance(spec, n, trial)
-                c = datagen.sparsify(base, fraction, spec.seed, stream_index=trial)
-                if "optimal_oracle" in spec.strategies:
-                    prep["oracle_u"] = datagen.gen_labels(c, spec.pipeline, center=False).u_star
-                for name in spec.strategies:
-                    if name == "cold":
-                        _, report = _run_cold(c, spec.pipeline)
-                    else:
-                        _, report = runners[name].run(c, prep, spec.pipeline)
-                    records.append(_record_from_report(name, n, trial, report))
-        rows.extend(_axis_rows(spec, "mask_fraction", fraction, records))
+        def sparsify(c, trial):
+            return datagen.sparsify(c, fraction, spec.seed, stream_index=trial)
+
+        records = run_cells(spec, _grid_cells(spec, preps, sparsify))
+        rows.extend(_axis_rows("mask_fraction", fraction, records))
     return rows
 
 
-def _train_variant(spec: ExperimentSpec, refine_k: int, feature_dim: int,
-                   train_instances: int, epochs: int) -> rowdualnet.ModelParams:
-    cfg = PipelineConfig(
-        eps=spec.pipeline.eps, tau=spec.pipeline.tau, eq_tol=spec.pipeline.eq_tol,
-        refine_k=refine_k, feature_dim=feature_dim,
-    )
-    n = spec.sizes[0]
-    corpus = []
-    for i in range(train_instances):
-        if spec.generator == "block":
-            params = datagen.BlockParams(
-                n=n, num_groups=spec.block_groups,
-                noise_sigma=spec.block_noise, seed=spec.seed,
-            )
-            c = datagen.gen_block(params, stream_index=PREP_STREAM_BASE + i)
-        else:
-            c = datagen.gen_dense(n, seed=spec.seed, stream_index=PREP_STREAM_BASE + i)
-        corpus.append(datagen.gen_labels(c, cfg))
-    tc = rowdualnet.TrainConfig(epochs=epochs, seed=spec.seed)
-    model, _ = rowdualnet.train(corpus, tc, refine_k=refine_k)
-    return model, cfg
+def _sweep_trained(spec: ExperimentSpec, axis_name: str, variants: list,
+                   train_instances: int, epochs: int) -> list:
+    """Per (axis value, pipeline config): train a fresh model on instances of
+    the first size, then benchmark it against cold on the grid."""
+    rows = []
+    for value, cfg in variants:
+        corpus = _corpus(spec, spec.sizes[0], train_instances, cfg)
+        tc = rowdualnet.TrainConfig(epochs=epochs, seed=spec.seed)
+        model, _ = rowdualnet.train(corpus, tc, refine_k=cfg.refine_k)
+        variant = dataclasses.replace(spec, strategies=("cold", "neural"), pipeline=cfg)
+        records = run_cells(variant, _grid_cells(variant, _prepare_sizes(variant, model)))
+        rows.extend(_axis_rows(axis_name, value, records))
+    return rows
 
 
 def sweep_topk(spec: ExperimentSpec, ks: list, train_instances: int = 50,
                epochs: int = 60) -> list:
     """Train a fresh model per refinement width K and benchmark each."""
-    rows = []
-    for k in ks:
-        model, cfg = _train_variant(spec, k, spec.pipeline.feature_dim,
-                                    train_instances, epochs)
-        variant = dataclasses.replace(spec, strategies=("cold", "neural"), pipeline=cfg)
-        records = _run_with_model(variant, model)
-        rows.extend(_axis_rows(variant, "k", k, records))
-    return rows
+    variants = [(k, dataclasses.replace(spec.pipeline, refine_k=k)) for k in ks]
+    return _sweep_trained(spec, "k", variants, train_instances, epochs)
 
 
 def sweep_features(spec: ExperimentSpec, dims: list, train_instances: int = 50,
                    epochs: int = 60) -> list:
     """Train a fresh model per feature dimension (4, 13, 21) and benchmark."""
-    rows = []
-    for d in dims:
-        model, cfg = _train_variant(spec, spec.pipeline.refine_k, d,
-                                    train_instances, epochs)
-        variant = dataclasses.replace(spec, strategies=("cold", "neural"), pipeline=cfg)
-        records = _run_with_model(variant, model)
-        rows.extend(_axis_rows(variant, "feature_dim", d, records))
-    return rows
-
-
-def _run_with_model(spec: ExperimentSpec, model) -> list:
-    runners = _build_runners(spec)
-    records = []
-    for n in spec.sizes:
-        prep = {"model": model}
-        warmed = set()
-        for trial in range(spec.trials):
-            c = generate_instance(spec, n, trial)
-            for name in spec.strategies:
-                if name == "cold":
-                    if ("cold", n) not in warmed:
-                        _run_cold(c, spec.pipeline)
-                        warmed.add(("cold", n))
-                    _, report = _run_cold(c, spec.pipeline)
-                else:
-                    if (name, n) not in warmed:
-                        runners[name].run(c, prep, spec.pipeline)
-                        warmed.add((name, n))
-                    _, report = runners[name].run(c, prep, spec.pipeline)
-                records.append(_record_from_report(name, n, trial, report))
-    return records
+    variants = [(d, dataclasses.replace(spec.pipeline, feature_dim=d)) for d in dims]
+    return _sweep_trained(spec, "feature_dim", variants, train_instances, epochs)
 
 
 def sweep_permutation(spec: ExperimentSpec, num_perms: int = 10) -> list:
     """Row-permute one fixed instance; the optimal cost must not move.
 
     Reports, per strategy, the count of distinct optimal costs (expect 1)
-    and the wall-clock spread across permutations.
+    and the wall-clock spread across the permutations it solved; num_perms
+    leaves out permutations that ended in an error record.
     """
     n = spec.sizes[0]
     base = generate_instance(spec, n, 0)
-    model = None
-    if "neural" in spec.strategies:
-        model = rowdualnet.load_checkpoint(
-            spec.checkpoint, expect_input_dim=spec.pipeline.feature_dim
-        )
-    runners = _build_runners(spec)
-    prep = _prepare_size(spec, n, model)
-    per_strategy = {name: {"costs": [], "walls": []} for name in spec.strategies}
-    for p in range(num_perms):
-        rng = substream(spec.seed, STREAM_PERMUTATION, index=p)
-        perm = rng.permutation(n)
-        c = CostMatrix(base.values[perm], base.sentinel)
-        if "optimal_oracle" in spec.strategies:
-            prep["oracle_u"] = datagen.gen_labels(c, spec.pipeline, center=False).u_star
-        for name in spec.strategies:
-            if name == "cold":
-                _, report = _run_cold(c, spec.pipeline)
-            else:
-                _, report = runners[name].run(c, prep, spec.pipeline)
-            per_strategy[name]["costs"].append(report.total_cost)
-            per_strategy[name]["walls"].append(sum(report.stage_times.values()))
+    prep = _prepare_size(spec, n, _load_model(spec))
+
+    def permuted(p):
+        perm = substream(spec.seed, STREAM_PERMUTATION, index=p).permutation(n)
+        return CostMatrix(base.values[perm], base.sentinel)
+
+    records = run_cells(spec, ((n, p, permuted(p), prep) for p in range(num_perms)))
     rows = []
     for name in spec.strategies:
-        costs = np.array(per_strategy[name]["costs"])
-        walls = np.array(per_strategy[name]["walls"], dtype=np.float64)
+        solved = [r for r in records if r.strategy == name and r.error is None]
+        if not solved:
+            continue
+        costs = np.array([r.total_cost for r in solved])
+        walls = np.array([r.wall_ns for r in solved], dtype=np.float64)
         rows.append(
             {
                 "strategy": name,
-                "num_perms": num_perms,
+                "num_perms": len(solved),
                 "distinct_costs": int(np.unique(np.round(costs, 9)).size),
                 "cost": float(costs[0]),
                 "mean_wall_ns": float(walls.mean()),

@@ -13,8 +13,7 @@ import numpy as np
 
 from . import baselines, bench, datagen, rowdualnet
 from .errors import DualseedError
-from .lap_core import solve_cold
-from .warmstart import PipelineConfig, min_trick, run_pipeline
+from .warmstart import PipelineConfig
 
 
 def _pipeline_from_args(args) -> PipelineConfig:
@@ -38,34 +37,23 @@ def _add_pipeline_args(p: argparse.ArgumentParser):
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "matrix":
-        if args.generator == "dense":
-            c = datagen.gen_dense(args.n, args.seed)
-        else:
-            params = datagen.BlockParams(
-                n=args.n, num_groups=args.block_groups,
-                noise_sigma=args.block_noise, seed=args.seed,
-            )
-            c = datagen.gen_block(params)
+    def instance(i):
+        c = datagen.generate(args.generator, args.n, args.seed, i,
+                             args.block_groups, args.block_noise)
         if args.mask_fraction > 0:
-            c = datagen.sparsify(c, args.mask_fraction, args.seed)
+            c = datagen.sparsify(c, args.mask_fraction, args.seed, stream_index=i)
+        return c
+
+    if args.kind == "matrix":
+        c = instance(0)
         datagen.write_matrix(args.out, c)
         print(f"wrote {args.out}: n={c.n} generator={args.generator}")
         return 0
     cfg = _pipeline_from_args(args)
-    instances = []
-    for i in range(args.count):
-        if args.generator == "dense":
-            c = datagen.gen_dense(args.n, args.seed, stream_index=i)
-        else:
-            params = datagen.BlockParams(
-                n=args.n, num_groups=args.block_groups,
-                noise_sigma=args.block_noise, seed=args.seed,
-            )
-            c = datagen.gen_block(params, stream_index=i)
-        if args.mask_fraction > 0:
-            c = datagen.sparsify(c, args.mask_fraction, args.seed, stream_index=i)
-        instances.append(datagen.gen_labels(c, cfg, center_sweeps=args.center_sweeps))
+    instances = [
+        datagen.gen_labels(instance(i), cfg, center_sweeps=args.center_sweeps)
+        for i in range(args.count)
+    ]
     datagen.write_dataset(args.out, instances)
     print(f"wrote {args.out}: {args.count} labeled instances, n={args.n}")
     return 0
@@ -101,35 +89,22 @@ def cmd_train(args) -> int:
 def cmd_solve(args) -> int:
     c = datagen.read_csv(args.matrix) if args.matrix.endswith(".csv") else datagen.read_matrix(args.matrix)
     cfg = _pipeline_from_args(args)
-    if args.strategy == "cold":
-        assignment, _, stats = solve_cold(c, eq_tol=cfg.eq_tol)
-        print(f"cost {assignment.total_cost:.9f}")
-        print(f"greedy_matched {stats.greedy_matched} dual_update_steps {stats.dual_update_steps}")
-        if args.out:
-            np.savetxt(args.out, assignment.row_to_col, fmt="%d")
-        return 0
-    if args.strategy == "neural":
-        model = rowdualnet.load_checkpoint(args.checkpoint, expect_input_dim=cfg.feature_dim)
-        predict = lambda feats: rowdualnet.forward(model, feats, c)
-        needs_features = True
-    elif args.strategy == "row_mean":
-        predict, needs_features = lambda feats: baselines.seed_row_mean(c), False
-    elif args.strategy == "random":
-        predict, needs_features = lambda feats: baselines.seed_random(c, args.seed), False
-    elif args.strategy == "subgradient":
-        sub_cfg = baselines.SubgradientConfig(time_budget_ns=args.subgradient_budget_ns)
-        predict, needs_features = lambda feats: baselines.seed_subgradient(c, sub_cfg), False
-    else:
-        raise DualseedError(f"strategy {args.strategy} is not usable on a single matrix")
-    assignment, report = run_pipeline(c, predict, cfg, needs_features=needs_features)
+    prep = {
+        "seed": args.seed,
+        "subgradient_cfg": baselines.SubgradientConfig(time_budget_ns=args.subgradient_budget_ns),
+    }
+    if args.checkpoint is not None:
+        prep["model"] = rowdualnet.load_checkpoint(args.checkpoint, expect_input_dim=cfg.feature_dim)
+    assignment, report = bench.run_strategy(args.strategy, c, prep, cfg)
     stats = report.solve_stats
+    counters = f"greedy_matched {stats.greedy_matched} dual_update_steps {stats.dual_update_steps}"
     print(f"cost {assignment.total_cost:.9f}")
-    print(
-        f"rho {report.density_rho:.3f} fallback {report.fallback_triggered} "
-        f"greedy_matched {stats.greedy_matched} dual_update_steps {stats.dual_update_steps}"
-    )
-    for stage, ns in report.stage_times.items():
-        print(f"  {stage}: {ns / 1e6:.3f} ms")
+    if report.density_rho is None:  # cold: no gate and no pipeline stages
+        print(counters)
+    else:
+        print(f"rho {report.density_rho:.3f} fallback {report.fallback_triggered} {counters}")
+        for stage, ns in report.stage_times.items():
+            print(f"  {stage}: {ns / 1e6:.3f} ms")
     if args.out:
         np.savetxt(args.out, assignment.row_to_col, fmt="%d")
     return 0
@@ -204,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=1, help="instances (dataset only)")
-    p.add_argument("--generator", choices=("dense", "block"), default="dense")
+    p.add_argument("--generator", choices=datagen.GENERATORS, default="dense")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mask-fraction", dest="mask_fraction", type=float, default=0.0)
     p.add_argument("--block-groups", dest="block_groups", type=int, default=None)
@@ -233,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one matrix with one strategy")
     p.add_argument("matrix", help="binary matrix file or .csv")
-    p.add_argument("--strategy", default="cold",
-                   choices=("cold", "neural", "row_mean", "random", "subgradient"))
+    p.add_argument("--strategy", default="cold", choices=bench.ALL_STRATEGIES)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subgradient-budget-ns", dest="subgradient_budget_ns",

@@ -13,7 +13,7 @@ import path accepts externally produced matrices.
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ DATASET_MAGIC = b"LAPD"
 FORMAT_VERSION = 1
 FLAG_HAS_SENTINEL = 0x01
 
+GENERATORS = ("dense", "block")
 DEFAULT_LEVELS = (1.0, 2.0, 4.0, 8.0, 16.0)
 DEFAULT_LEVEL_PROBS = (0.45, 0.25, 0.15, 0.10, 0.05)
 
@@ -102,6 +103,18 @@ def gen_block(params: BlockParams, stream_index: int = 0) -> CostMatrix:
         values = values + rng.normal(0.0, params.noise_sigma, (n, n))
         values = np.maximum(values, 0.0)
     return CostMatrix.from_array(values)
+
+
+def generate(generator: str, n: int, seed: int, stream_index: int = 0,
+             block_groups: int | None = None, block_noise: float | None = None) -> CostMatrix:
+    """One instance of a named family in GENERATORS; the block settings
+    (BlockParams defaults when None) apply to "block" only."""
+    if generator == "dense":
+        return gen_dense(n, seed, stream_index)
+    if generator == "block":
+        params = BlockParams(n=n, num_groups=block_groups, noise_sigma=block_noise, seed=seed)
+        return gen_block(params, stream_index)
+    raise ValueError(f"unknown generator {generator!r} (choose from {GENERATORS})")
 
 
 def default_sentinel(values: np.ndarray) -> float:

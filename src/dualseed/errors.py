@@ -25,10 +25,6 @@ class ShapeMismatch(DualseedError):
     """Array shapes disagree with the instance or model dimensions."""
 
 
-# Alias used by callers thinking in terms of vector dimensions.
-DimensionMismatch = ShapeMismatch
-
-
 class EmptyDataset(DualseedError):
     """Training or fitting was asked to run on zero instances."""
 

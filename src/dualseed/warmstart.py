@@ -87,11 +87,14 @@ class FeatureMatrix:
 
 @dataclass
 class PipelineReport:
-    """Outcome of one warm_solve: timings, density, gate decision, solve."""
+    """Outcome of one warm_solve: timings, density, gate decision, solve.
+
+    A cold solve has no gate: its density and decision are None.
+    """
 
     stage_times: dict = field(default_factory=dict)
-    density_rho: float = 0.0
-    fallback_triggered: bool = False
+    density_rho: float | None = 0.0
+    fallback_triggered: bool | None = False
     solve_stats: SolveStats | None = None
     total_cost: float = 0.0
 
@@ -221,6 +224,17 @@ def column_potentials(values: np.ndarray, u_hat: np.ndarray) -> tuple[np.ndarray
     return d.min(axis=0), d.argmin(axis=0)
 
 
+def _row_potentials(u_hat, n: int) -> np.ndarray:
+    """u_hat as a float64 vector, checked to be n finite values: a NaN or an
+    infinity would make the completion and the gate meaningless."""
+    u_hat = np.asarray(u_hat, dtype=np.float64)
+    if u_hat.shape != (n,):
+        raise ShapeMismatch(f"row potentials have shape {u_hat.shape}, expected ({n},)")
+    if not np.isfinite(u_hat).all():
+        raise NonFinite("row potentials contain NaN or infinity")
+    return u_hat
+
+
 def min_trick(c: CostMatrix, u_hat: np.ndarray) -> DualPotentials:
     """Complete row potentials into feasible duals via columnwise minima.
 
@@ -228,11 +242,7 @@ def min_trick(c: CostMatrix, u_hat: np.ndarray) -> DualPotentials:
     values (C_ij - u_i), so (C_ij - u_i) - v_j >= 0 holds entrywise with no
     tolerance needed.
     """
-    u_hat = np.asarray(u_hat, dtype=np.float64)
-    if u_hat.shape != (c.n,):
-        raise ShapeMismatch(f"u_hat shape {u_hat.shape} does not match n={c.n}")
-    if not np.isfinite(u_hat).all():
-        raise NonFinite("u_hat contains NaN or infinity")
+    u_hat = _row_potentials(u_hat, c.n)
     v_hat, _ = column_potentials(c.values, u_hat)
     return DualPotentials(u_hat.copy(), v_hat)
 
@@ -274,6 +284,8 @@ def run_pipeline(
     `predict` maps a FeatureMatrix (or None when needs_features is False) to
     a length-n array of row potentials. warm_solve and every benchmark
     strategy share this path so their stage timings mean the same thing.
+    An output that is not n finite values raises ShapeMismatch or NonFinite
+    whatever the gate would decide.
     """
     values = c.values
     n = c.n
@@ -282,9 +294,7 @@ def run_pipeline(
     t0 = time.perf_counter_ns()
     feats = extract_features(c, cfg) if needs_features else None
     t1 = time.perf_counter_ns()
-    u_hat = np.asarray(predict(feats), dtype=np.float64)
-    if u_hat.shape != (n,):
-        raise ShapeMismatch(f"predictor returned shape {u_hat.shape}, expected ({n},)")
+    u_hat = _row_potentials(predict(feats), n)
     t2 = time.perf_counter_ns()
     diff = values - u_hat[:, None]
     v_hat = diff.min(axis=0)

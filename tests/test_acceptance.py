@@ -205,6 +205,8 @@ def test_criterion_06_gradient_check():
     """Analytic vs central-difference gradients on a tiny model, 5 seeds."""
     h = 1e-5
     worst = 0.0
+    worst_abs = 0.0  # over every entry, the skipped ones too
+    skipped = total = 0
     cfg = PipelineConfig()
     for seed in range(5):
         c = datagen.gen_dense(6, seed=RNG_BASE + 6, stream_index=seed)
@@ -229,12 +231,16 @@ def test_criterion_06_gradient_check():
                 flat[i] = orig
                 fd = (up - down) / (2.0 * h)
                 diff = abs(gflat[i] - fd)
+                worst_abs = max(worst_abs, diff)
+                total += 1
                 if diff <= 1e-8:  # both zero at finite-difference noise floor
+                    skipped += 1
                     continue
                 worst = max(worst, diff / max(abs(gflat[i]), abs(fd)))
     ok = worst <= 1e-4
-    record(ok, f"criterion 6: gradcheck max relative error {worst:.2e} "
-               f"(activation {GATE_ACTIVATION})")
+    record(ok, f"criterion 6: gradcheck max relative error {worst:.2e}, "
+               f"max absolute difference {worst_abs:.2e} over {total} entries, "
+               f"{skipped} skipped as <= 1e-8 (activation {GATE_ACTIVATION})")
     assert ok
 
 

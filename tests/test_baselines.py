@@ -18,7 +18,7 @@ from dualseed.baselines import (
     train_linreg,
 )
 from dualseed.datagen import LabeledInstance, gen_dense, gen_labels
-from dualseed.errors import DimensionMismatch, ShapeMismatch, SingularSystem
+from dualseed.errors import ShapeMismatch, SingularSystem
 from dualseed.lap_core import CostMatrix, solve_cold, solve_seeded
 from dualseed.warmstart import PipelineConfig, equality_density, min_trick
 
@@ -154,9 +154,9 @@ def test_median_matches_sorting_oracle():
 
 
 def test_median_rejects_bad_shape():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         seed_learned_median(np.zeros(4))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         seed_learned_median(np.zeros((0, 4)))
 
 

@@ -78,7 +78,7 @@ def _small_spec(**kwargs):
         generator="dense",
         sizes=(12,),
         trials=3,
-        strategies=("cold", "row_mean", "random", "optimal_oracle"),
+        strategies=("cold", "row_mean", "row_min", "random", "optimal_oracle"),
         seed=4,
     )
     defaults.update(kwargs)
@@ -87,7 +87,7 @@ def _small_spec(**kwargs):
 
 def test_run_experiment_exactness_and_oracle():
     records = run_experiment(_small_spec())
-    assert len(records) == 4 * 3
+    assert len(records) == 5 * 3
     assert all(r.error is None for r in records)
     for trial in range(3):
         costs = {r.total_cost for r in records if r.trial == trial}

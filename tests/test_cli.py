@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from dualseed.bench import ALL_STRATEGIES
 from dualseed.cli import main
 from dualseed.datagen import read_dataset, read_matrix, write_matrix, gen_dense
-from dualseed.rowdualnet import load_checkpoint
+from dualseed.rowdualnet import init_model, load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -75,6 +76,25 @@ def test_train_solve_roundtrip(tmp_path, capsys):
         perm = np.loadtxt(assign_path, dtype=int)
         assert sorted(perm.tolist()) == list(range(8))
     assert len({round(v, 9) for v in outputs.values()}) == 1  # same optimal cost
+
+
+def test_solve_runs_every_registry_strategy(tmp_path, capsys):
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(init_model(21, hidden_dim=8, seed=0), ckpt)
+    mpath = str(tmp_path / "m.lapm")
+    write_matrix(mpath, gen_dense(10, seed=21))
+    needs_corpus = {"linreg", "median"}
+    costs = {}
+    for strategy in ALL_STRATEGIES:
+        code, out, err = run(capsys, "solve", mpath, "--strategy", strategy, "--checkpoint", ckpt)
+        if strategy in needs_corpus:
+            assert code == 1, strategy
+            assert "error:" in err and "bench corpus" in err, strategy
+            continue
+        assert code == 0, (strategy, err)
+        costs[strategy] = out.splitlines()[0]
+    assert set(costs) == set(ALL_STRATEGIES) - needs_corpus
+    assert len(set(costs.values())) == 1  # the same printed optimal cost
 
 
 def test_train_activation_and_transpose_flags(tmp_path, capsys):

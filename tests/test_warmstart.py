@@ -309,6 +309,18 @@ def test_pipeline_gate_open_with_oracle_seed():
     assert report.solve_stats.dual_update_steps == 0
 
 
+@pytest.mark.parametrize("tau", [1.2, 0.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pipeline_rejects_non_finite_prediction(bad, tau):
+    # Whether or not the gate would consume the seed, a non-finite row
+    # potential is an error, not a silent fallback with a meaningless rho.
+    c = CostMatrix.from_array(np.random.default_rng(15).random((16, 16)))
+    u_hat = np.zeros(16)
+    u_hat[3] = bad
+    with pytest.raises(NonFinite):
+        run_pipeline(c, lambda feats: u_hat, PipelineConfig(tau=tau), needs_features=False)
+
+
 def test_warm_solve_checks_model_dim():
     from dualseed.rowdualnet import init_model
 
