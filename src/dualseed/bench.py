@@ -146,26 +146,31 @@ class ExperimentSpec:
             raise ValueError("generator must be dense, block, or file:<path>")
 
 
-SPEC_KEYS = (
-    "generator",
-    "sizes",
-    "trials",
-    "strategies",
-    "checkpoint",
-    "seed",
-    "eps",
-    "tau",
-    "eq_tol",
-    "refine_k",
-    "feature_dim",
-    "block_groups",
-    "block_noise",
-)
+def _csv_tuple(cast):
+    return lambda text: tuple(cast(part.strip()) for part in text.split(","))
+
+
+# spec-file key -> (cast from the text value, "spec" or "pipeline" field)
+SPEC_FIELDS = {
+    "generator": (str, "spec"),
+    "sizes": (_csv_tuple(int), "spec"),
+    "trials": (int, "spec"),
+    "strategies": (_csv_tuple(str), "spec"),
+    "checkpoint": (str, "spec"),
+    "seed": (int, "spec"),
+    "eps": (float, "pipeline"),
+    "tau": (float, "pipeline"),
+    "refine_k": (int, "pipeline"),
+    "feature_dim": (int, "pipeline"),
+    "block_groups": (int, "spec"),
+    "block_noise": (float, "spec"),
+}
+SPEC_KEYS = tuple(SPEC_FIELDS)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse key=value lines (# comments allowed) into an ExperimentSpec."""
-    raw = {}
+    kwargs = {"spec": {}, "pipeline": {}}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -173,33 +178,11 @@ def parse_spec(text: str) -> ExperimentSpec:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in SPEC_KEYS:
+        if key not in SPEC_FIELDS:
             raise ValueError(f"line {lineno}: unknown key {key!r} (known: {', '.join(SPEC_KEYS)})")
-        raw[key] = value
-
-    pipe_kwargs = {}
-    for key, cast in (("eps", float), ("tau", float), ("eq_tol", float),
-                      ("refine_k", int), ("feature_dim", int)):
-        if key in raw:
-            pipe_kwargs[key] = cast(raw.pop(key))
-    spec_kwargs = {"pipeline": PipelineConfig(**pipe_kwargs)}
-    if "generator" in raw:
-        spec_kwargs["generator"] = raw.pop("generator")
-    if "sizes" in raw:
-        spec_kwargs["sizes"] = tuple(int(x) for x in raw.pop("sizes").split(","))
-    if "trials" in raw:
-        spec_kwargs["trials"] = int(raw.pop("trials"))
-    if "strategies" in raw:
-        spec_kwargs["strategies"] = tuple(s.strip() for s in raw.pop("strategies").split(","))
-    if "checkpoint" in raw:
-        spec_kwargs["checkpoint"] = raw.pop("checkpoint")
-    if "seed" in raw:
-        spec_kwargs["seed"] = int(raw.pop("seed"))
-    if "block_groups" in raw:
-        spec_kwargs["block_groups"] = int(raw.pop("block_groups"))
-    if "block_noise" in raw:
-        spec_kwargs["block_noise"] = float(raw.pop("block_noise"))
-    return ExperimentSpec(**spec_kwargs)
+        cast, target = SPEC_FIELDS[key]
+        kwargs[target][key] = cast(value)
+    return ExperimentSpec(pipeline=PipelineConfig(**kwargs["pipeline"]), **kwargs["spec"])
 
 
 @dataclass
@@ -296,7 +279,7 @@ def run_strategy(name: str, c: CostMatrix, prep: dict, cfg: PipelineConfig) -> t
     strategy = STRATEGIES[name]
     if strategy.make_predict is None:
         t0 = time.perf_counter_ns()
-        assignment, _, stats = solve_cold(c, eq_tol=cfg.eq_tol)
+        assignment, _, stats = solve_cold(c)
         stage_times = dict.fromkeys(STAGE_NAMES, 0)
         stage_times[STAGE_SOLVER] = time.perf_counter_ns() - t0
         report = PipelineReport(stage_times, None, None, stats, assignment.total_cost)
@@ -595,7 +578,7 @@ def sweep_noise(spec: ExperimentSpec, sigmas: list) -> list:
             u_noisy = labels.u_star + rng.normal(0.0, sigma * spread, c.n)
             duals = min_trick(c, u_noisy)
             rhos.append(equality_density(c, duals, spec.pipeline.eps))
-            _, _, stats = solve_seeded(c, duals, eq_tol=spec.pipeline.eq_tol)
+            _, _, stats = solve_seeded(c, duals)
             steps.append(stats.dual_update_steps)
         rows.append(
             {"sigma": sigma, "mean_rho": float(np.mean(rhos)),

@@ -18,7 +18,7 @@ from .warmstart import PipelineConfig
 
 def _pipeline_from_args(args) -> PipelineConfig:
     kwargs = {}
-    for key in ("eps", "tau", "eq_tol", "refine_k", "feature_dim"):
+    for key in ("eps", "tau", "refine_k", "feature_dim"):
         value = getattr(args, key, None)
         if value is not None:
             kwargs[key] = value
@@ -28,8 +28,6 @@ def _pipeline_from_args(args) -> PipelineConfig:
 def _add_pipeline_args(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, default=None, help="equality-density tolerance")
     p.add_argument("--tau", type=float, default=None, help="fallback density threshold")
-    p.add_argument("--eq-tol", dest="eq_tol", type=float, default=None,
-                   help="solver equality tolerance")
     p.add_argument("--refine-k", dest="refine_k", type=int, default=None,
                    help="refinement width K")
     p.add_argument("--feature-dim", dest="feature_dim", type=int, default=None,

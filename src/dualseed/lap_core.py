@@ -1,11 +1,17 @@
 """Exact linear assignment solving with optional injected dual seeds.
 
 The solver is a shortest-augmenting-path method over reduced costs
-r_ij = C_ij - u_i - v_j. Cold starts initialize with column reduction and
-reduction transfer; seeded starts inject caller-supplied feasible potentials,
-harvest the equality subgraph with one greedy pass, and go straight to
-augmentation. Both paths return an optimal assignment together with feasible
-potentials that certify it.
+r_ij = C_ij - u_i - v_j, and one driver serves both entry points. It takes
+feasible potentials (u, v) and, for each column, the row at which that
+column's reduced cost is smallest. The harvest gives each column, in index
+order, to that row when the edge is tight (r <= EQ_TOL) and the row is still
+free: the column reduction of Jonker & Volgenant (1987), applied to C - u.
+An optional reduction transfer follows, then one augmenting search for each
+row left free. solve_cold is the seed u = 0, v_j = min_i C_ij with the
+transfer on; solve_seeded runs a caller's seed with the transfer off, so a
+tight optimal seed passes through unchanged. Both return an optimal
+assignment together with feasible potentials that certify it. LAPJV's
+augmenting row reduction is not implemented.
 
 Each augmenting search is Dijkstra's algorithm over reduced costs with the
 tie rule of Jonker & Volgenant's LAPJV: when an unassigned column sits at the
@@ -44,10 +50,27 @@ class CostMatrix:
     `sentinel` marks the finite value standing in for masked (absent) edges,
     or None for fully dense instances. Sentinels are ordinary large costs to
     the solver; they only matter to generators and reports.
+
+    Construction is the one validation point: values become a contiguous
+    float64 array (without a copy when they already are one), which must be
+    square with n >= 1 (else NonSquare) and finite, as must the sentinel
+    (else NonFinite).
     """
 
     values: np.ndarray
     sentinel: float | None = None
+
+    def __post_init__(self):
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise NonSquare(f"expected square matrix, got shape {values.shape}")
+        if values.shape[0] < 1:
+            raise NonSquare("empty matrix")
+        if not np.isfinite(values).all():
+            raise NonFinite("cost matrix contains NaN or infinity")
+        if self.sentinel is not None and not np.isfinite(self.sentinel):
+            raise NonFinite("sentinel must be finite")
+        self.values = values
 
     @property
     def n(self) -> int:
@@ -55,16 +78,7 @@ class CostMatrix:
 
     @classmethod
     def from_array(cls, arr, sentinel: float | None = None) -> "CostMatrix":
-        values = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise NonSquare(f"expected square matrix, got shape {values.shape}")
-        if values.shape[0] < 1:
-            raise NonSquare("empty matrix")
-        if not np.isfinite(values).all():
-            raise NonFinite("cost matrix contains NaN or infinity")
-        if sentinel is not None and not np.isfinite(sentinel):
-            raise NonFinite("sentinel must be finite")
-        return cls(values=values, sentinel=sentinel)
+        return cls(arr, sentinel)
 
 
 @dataclass
@@ -76,10 +90,6 @@ class DualPotentials:
 
     def copy(self) -> "DualPotentials":
         return DualPotentials(self.u.copy(), self.v.copy())
-
-    def is_feasible(self, c: CostMatrix, tol: float = FEAS_TOL) -> bool:
-        r = reduced_costs(c.values, self.u, self.v)
-        return bool(r.min() >= -tol)
 
 
 @dataclass
@@ -94,9 +104,14 @@ class Assignment:
 class SolveStats:
     """Counters and per-phase wall times (ns) for one solve.
 
-    greedy_matched counts rows matched before the augmentation phase;
+    greedy_matched counts rows the harvest matched before the augmentation
+    phase: column j goes to its argmin row of the reduced costs when that
+    edge is tight and the row is still free, columns in index order. A
+    column whose argmin row is taken stays free even when another row is
+    tight in it (the argmin takes the lowest tied row), so a seed with tied
+    tight rows can match fewer rows than a row-by-row greedy pass would.
     free_rows = n - greedy_matched = augment_searches. dual_update_steps
-    counts augmenting searches whose shortest-path length exceeded eq_tol,
+    counts augmenting searches whose shortest-path length exceeded EQ_TOL,
     i.e. searches that actually moved the potentials; paths inside the
     equality subgraph leave the duals untouched and are not counted.
     scanned_columns sums, over the searches, the columns each one finished:
@@ -162,52 +177,36 @@ def brute_force(c: CostMatrix) -> tuple[float, np.ndarray]:
 
 
 def verify_certificate(
-    c: CostMatrix,
-    assignment: Assignment,
-    duals: DualPotentials,
-    feas_tol: float = FEAS_TOL,
-    eq_tol: float = EQ_TOL,
+    c: CostMatrix, assignment: Assignment, duals: DualPotentials
 ) -> CertificateResult:
     """Check that (assignment, duals) certify optimality.
 
-    Three conditions, reported in order of failure: the duals are feasible,
-    the assignment is a bijection, and every assigned edge is tight within
-    eq_tol (scaled by the entry magnitude, matching the solver's own
-    guarantee).
+    Three conditions, reported in order of failure: the duals are feasible
+    within FEAS_TOL, the assignment is a bijection, and every assigned edge
+    is tight within EQ_TOL (scaled by the entry magnitude, matching the
+    solver's own guarantee).
     """
     values = c.values
     n = c.n
     r = reduced_costs(values, duals.u, duals.v)
-    if r.min() < -feas_tol:
+    if r.min() < -FEAS_TOL:
         return CertificateResult(False, "infeasible-dual")
     perm = assignment.row_to_col
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         return CertificateResult(False, "not-bijection")
     assigned = values[np.arange(n), perm]
     slack = np.abs(r[np.arange(n), perm])
-    if (slack > eq_tol * np.maximum(1.0, np.abs(assigned))).any():
+    if (slack > EQ_TOL * np.maximum(1.0, np.abs(assigned))).any():
         return CertificateResult(False, "slackness-violated")
     return CertificateResult(True, None)
-
-
-def _column_reduction(values, u, v, row_to_col, col_to_row):
-    """Set v to column minima; assign each column's argmin row if still free."""
-    n = values.shape[0]
-    argmins = np.argmin(values, axis=0)
-    v[:] = values[argmins, np.arange(n)]
-    for j in range(n):
-        i = int(argmins[j])
-        if row_to_col[i] < 0:
-            row_to_col[i] = j
-            col_to_row[j] = i
 
 
 def _reduction_transfer(values, u, v, row_to_col):
     """Shift slack from assigned rows onto their columns.
 
-    For an assigned row i with column j1, the second-best value
-    mu = min_{j != j1}(C_ij - v_j) moves into u_i while v_j1 drops by the
-    same amount, keeping the assigned edge tight and the duals feasible.
+    For an assigned row i with column j1, the second-best reduced cost
+    mu = min_{j != j1}(C_ij - v_j) - u_i moves into u_i while v_j1 drops by
+    the same amount, keeping the assigned edge tight and the duals feasible.
     """
     n = values.shape[0]
     if n == 1:
@@ -218,9 +217,9 @@ def _reduction_transfer(values, u, v, row_to_col):
             continue
         slack = values[i] - v
         slack[j1] = np.inf
-        mu = slack.min()
+        mu = slack.min() - u[i]
         v[j1] -= mu
-        u[i] = mu
+        u[i] += mu
 
 
 def center_duals(
@@ -282,7 +281,7 @@ def _trace_path(values, u, v, end, cols, rows, mus):
         j, t = cols[p - 1], p
 
 
-def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, eq_tol, stats):
+def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, stats):
     """Resolve each free row with a Dijkstra search over reduced costs.
 
     Each pop takes the lowest-index open column at the minimal distance mu,
@@ -294,7 +293,7 @@ def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, eq_t
     so the relaxation cannot reopen them. stats.scanned_columns adds the
     columns each search finished, its end column included.
 
-    Potentials move only when the shortest path length exceeds eq_tol;
+    Potentials move only when the shortest path length exceeds EQ_TOL;
     zero-length paths (within the equality subgraph) augment the matching
     without touching the duals, so an already-optimal seed passes through
     bit-identically.
@@ -330,7 +329,7 @@ def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, eq_t
         mus = np.array(mus, dtype=np.float64)
         path = _trace_path(values, u, v, end, cols, rows, mus)
 
-        if mu > eq_tol:
+        if mu > EQ_TOL:
             stats.dual_update_steps += 1
             delta = mu - mus
             u[rows] += delta
@@ -341,32 +340,29 @@ def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, eq_t
             row_to_col[i] = j
 
 
-def solve_cold(c: CostMatrix, eq_tol: float = EQ_TOL) -> tuple[Assignment, DualPotentials, SolveStats]:
-    """Solve from scratch.
+def _solve_from(values, u, v, argmins, transfer, t0, t1):
+    """The one solver driver: harvest, optional reduction transfer, augment.
 
-    Initialization is column reduction plus reduction transfer; every row the
-    reduction leaves free goes through an augmenting search. greedy_matched
-    therefore reports the column-reduction match rate, the quantity the warm
-    strategies are benchmarked against.
+    (u, v) are feasible potentials, updated in place; argmins[j] is the row
+    of column j's smallest reduced cost. The harvest (see
+    SolveStats.greedy_matched) gives each row the first tight column that
+    names it, which is what a loop over the columns in index order does.
+    The caller's init phase ran from t0 to t1; the greedy phase starts at t1.
     """
-    values = c.values
-    n = c.n
-    stats = SolveStats()
-
-    t0 = time.perf_counter_ns()
-    u = np.zeros(n, dtype=np.float64)
-    v = np.zeros(n, dtype=np.float64)
+    n = values.shape[0]
     row_to_col = np.full(n, -1, dtype=np.int64)
     col_to_row = np.full(n, -1, dtype=np.int64)
-    t1 = time.perf_counter_ns()
-    _column_reduction(values, u, v, row_to_col, col_to_row)
-    _reduction_transfer(values, u, v, row_to_col)
-    free = [i for i in range(n) if row_to_col[i] < 0]
+    tight = np.flatnonzero(((values[argmins, np.arange(n)] - u[argmins]) - v) <= EQ_TOL)
+    rows, first = np.unique(argmins[tight], return_index=True)
+    row_to_col[rows] = tight[first]
+    col_to_row[tight[first]] = rows
+    if transfer:
+        _reduction_transfer(values, u, v, row_to_col)
+    free = np.flatnonzero(row_to_col < 0).tolist()
     t2 = time.perf_counter_ns()
 
-    stats.greedy_matched = n - len(free)
-    stats.free_rows = len(free)
-    _shortest_path_augment(values, u, v, row_to_col, col_to_row, free, eq_tol, stats)
+    stats = SolveStats(greedy_matched=n - len(free), free_rows=len(free))
+    _shortest_path_augment(values, u, v, row_to_col, col_to_row, free, stats)
     t3 = time.perf_counter_ns()
 
     stats.phase_times = {PHASE_INIT: t1 - t0, PHASE_GREEDY: t2 - t1, PHASE_AUGMENT: t3 - t2}
@@ -374,20 +370,37 @@ def solve_cold(c: CostMatrix, eq_tol: float = EQ_TOL) -> tuple[Assignment, DualP
     return assignment, DualPotentials(u, v), stats
 
 
-def solve_seeded(
-    c: CostMatrix,
-    seed: DualPotentials,
-    feas_tol: float = FEAS_TOL,
-    eq_tol: float = EQ_TOL,
-) -> tuple[Assignment, DualPotentials, SolveStats]:
+def solve_cold(c: CostMatrix) -> tuple[Assignment, DualPotentials, SolveStats]:
+    """Solve from scratch: the driver seeded with u = 0 and column minima.
+
+    v_j = min_i C_ij makes each column's argmin edge tight, so the harvest
+    is plain column reduction; reduction transfer then runs, and every row
+    left free goes through an augmenting search. greedy_matched therefore
+    reports the column-reduction match rate, the quantity the warm
+    strategies are benchmarked against.
+    """
+    values = c.values
+    n = c.n
+    t0 = time.perf_counter_ns()
+    u = np.zeros(n, dtype=np.float64)
+    t1 = time.perf_counter_ns()
+    argmins = values.argmin(axis=0)
+    v = values[argmins, np.arange(n)]
+    return _solve_from(values, u, v, argmins, True, t0, t1)
+
+
+def solve_seeded(c: CostMatrix, seed: DualPotentials) -> tuple[Assignment, DualPotentials, SolveStats]:
     """Solve starting from injected feasible potentials.
 
-    One greedy pass matches rows to equality edges (r_ij <= eq_tol, rows in
-    index order, lowest-index free column wins), then the augmentation phase
-    finishes the matching, with the same LAPJV tie rule as solve_cold.
-    Raises NonFinite when u or v holds NaN or infinity (a NaN would slip
-    through the feasibility comparison), and InfeasibleSeed when the seed
-    violates feasibility beyond feas_tol.
+    The driver harvests the seed's tight edges, each column to its argmin
+    row of the reduced costs when that row is free (see
+    SolveStats.greedy_matched), then the augmentation phase finishes the
+    matching with the same LAPJV tie rule as solve_cold. There is no
+    reduction transfer, so an optimal seed's potentials come back
+    unchanged. Raises ShapeMismatch for a seed of the wrong length,
+    NonFinite when u or v holds NaN or infinity (a NaN would slip through
+    the feasibility comparison), and InfeasibleSeed when the seed violates
+    feasibility beyond FEAS_TOL.
     """
     values = c.values
     n = c.n
@@ -395,37 +408,13 @@ def solve_seeded(
         raise ShapeMismatch(
             f"seed shapes {seed.u.shape}/{seed.v.shape} do not match n={n}"
         )
-    stats = SolveStats()
-
     t0 = time.perf_counter_ns()
     u = np.asarray(seed.u, dtype=np.float64).copy()
     v = np.asarray(seed.v, dtype=np.float64).copy()
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NonFinite("seed potentials contain NaN or infinity")
     r = reduced_costs(values, u, v)
-    if r.min() < -feas_tol:
+    if r.min() < -FEAS_TOL:
         raise InfeasibleSeed(f"seed violates feasibility by {-float(r.min()):.3e}")
     t1 = time.perf_counter_ns()
-
-    row_to_col = np.full(n, -1, dtype=np.int64)
-    col_to_row = np.full(n, -1, dtype=np.int64)
-    col_free = np.ones(n, dtype=bool)
-    for i in range(n):
-        tight = np.flatnonzero(r[i] <= eq_tol)
-        candidates = tight[col_free[tight]]
-        if candidates.size:
-            j = int(candidates[0])
-            row_to_col[i] = j
-            col_to_row[j] = i
-            col_free[j] = False
-    t2 = time.perf_counter_ns()
-
-    free = [i for i in range(n) if row_to_col[i] < 0]
-    stats.greedy_matched = n - len(free)
-    stats.free_rows = len(free)
-    _shortest_path_augment(values, u, v, row_to_col, col_to_row, free, eq_tol, stats)
-    t3 = time.perf_counter_ns()
-
-    stats.phase_times = {PHASE_INIT: t1 - t0, PHASE_GREEDY: t2 - t1, PHASE_AUGMENT: t3 - t2}
-    assignment = Assignment(row_to_col, total_cost_of(values, row_to_col))
-    return assignment, DualPotentials(u, v), stats
+    return _solve_from(values, u, v, r.argmin(axis=0), False, t0, t1)

@@ -60,7 +60,6 @@ class PipelineConfig:
 
     eps: float = 1e-5
     tau: float = 1.2
-    eq_tol: float = 1e-9
     refine_k: int = 16
     feature_k: int = 10
     feature_dim: int = FEATURE_DIM
@@ -308,9 +307,9 @@ def run_pipeline(
     fallback = rho < cfg.tau
     t4 = time.perf_counter_ns()
     if fallback:
-        assignment, _, stats = solve_cold(c, eq_tol=cfg.eq_tol)
+        assignment, _, stats = solve_cold(c)
     else:
-        assignment, _, stats = solve_seeded(c, duals, eq_tol=cfg.eq_tol)
+        assignment, _, stats = solve_seeded(c, duals)
     t5 = time.perf_counter_ns()
 
     report.stage_times = {

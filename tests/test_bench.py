@@ -40,7 +40,11 @@ def test_parse_spec_roundtrip():
     strategies = cold, random
     seed = 9
     tau = 1.5
+    eps = 0.001
     feature_dim = 13
+    checkpoint = model.ckpt
+    block_groups = 4
+    block_noise = 0.25
     """
     spec = parse_spec(text)
     assert spec.generator == "dense"
@@ -49,7 +53,11 @@ def test_parse_spec_roundtrip():
     assert spec.strategies == ("cold", "random")
     assert spec.seed == 9
     assert spec.pipeline.tau == 1.5
+    assert spec.pipeline.eps == 0.001
     assert spec.pipeline.feature_dim == 13
+    assert spec.checkpoint == "model.ckpt"
+    assert spec.block_groups == 4
+    assert spec.block_noise == 0.25
 
 
 def test_parse_spec_rejects_unknown_key():

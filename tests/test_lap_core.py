@@ -1,14 +1,16 @@
 """Solver oracle tests: brute-force agreement, certificates, seeded behavior."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualseed.datagen import BlockParams, gen_block
+from dualseed.datagen import BlockParams, gen_block, gen_dense
 from dualseed.errors import InfeasibleSeed, NonFinite, NonSquare, ShapeMismatch, TooLarge
 from dualseed.lap_core import (
+    EQ_TOL,
     Assignment,
     CostMatrix,
     DualPotentials,
@@ -45,6 +47,17 @@ def test_cost_matrix_rejects_nan():
 def test_cost_matrix_rejects_empty():
     with pytest.raises(NonSquare):
         CostMatrix.from_array(np.zeros((0, 0)))
+
+
+def test_cost_matrix_constructor_validates():
+    with pytest.raises(NonFinite):
+        CostMatrix(np.array([[np.nan]]))
+    with pytest.raises(NonSquare):
+        CostMatrix(np.zeros((2, 3)))
+    with pytest.raises(NonFinite):
+        CostMatrix(np.zeros((2, 2)), sentinel=np.inf)
+    c = CostMatrix(np.arange(4).reshape(2, 2).T)
+    assert c.values.dtype == np.float64 and c.values.flags.c_contiguous
 
 
 # ---------------------------------------------------------------- brute force
@@ -268,6 +281,87 @@ def test_seed_independence_of_value_200_seeds():
         assert verify_certificate(c, a, d)
         assert s.greedy_matched + s.free_rows == 32
         assert s.augment_searches == s.free_rows
+
+
+def _solve_digest(result):
+    """The four counters plus a sha256 of the assignment and dual bytes."""
+    a, d, s = result
+    h = hashlib.sha256()
+    for arr in (a.row_to_col, d.u, d.v):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return (s.greedy_matched, s.augment_searches, s.dual_update_steps,
+            s.scanned_columns, h.hexdigest())
+
+
+# Counters and bytes of these solves are pinned: a change to the solver
+# that moves any of them changes its outputs, not only its speed.
+GOLDEN_COLD = {
+    "dense-128": (82, 46, 46, 430,
+                  "0553d2d3e55b5f41187a4b54f3b0e9ca3ed84a51b6ff05e30743d0c834c44124"),
+    "block-256": (58, 198, 0, 600,
+                  "f5a9c7acd3853d3f2537b61345405dca40969918c4477375e840d36468dcd8a5"),
+    "dense-1024": (636, 388, 388, 14572,
+                   "b3ddd39ae904c84336248a7ffdddbea3b4c890f981bcda1934219f39d66d4756"),
+}
+GOLDEN_SEEDED = {
+    "dense-128": (12, 116, 116, 4040,
+                  "ead2647b4d24a4a6adc4705133040f878ba38dfc4bc5d162ad415f783243af10"),
+    "block-256": (45, 211, 211, 10630,
+                  "4f405f0118c483471c0ab96145175e2fdedd0ce18ffb4a061c06507936949557"),
+}
+
+
+def _golden_instance(name):
+    if name == "block-256":
+        return gen_block(BlockParams(n=256, seed=777))
+    return gen_dense(int(name.split("-")[1]), seed=777)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COLD))
+def test_cold_golden_outputs(name):
+    assert _solve_digest(solve_cold(_golden_instance(name))) == GOLDEN_COLD[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEEDED))
+def test_seeded_golden_outputs(name):
+    c = _golden_instance(name)
+    seed = min_trick(c, np.random.default_rng(31).normal(0.0, 0.3, c.n))
+    assert _solve_digest(solve_seeded(c, seed)) == GOLDEN_SEEDED[name]
+
+
+def test_seeded_harvest_gives_tied_column_to_lowest_row():
+    # zero seed, reduced costs = C: column 1 is tight in rows 0 and 1. Its
+    # argmin row is 0, which column 0 already took, so the harvest leaves
+    # column 1 and row 1 free (a row-by-row greedy pass would match all
+    # three); the one search then ends at free column 1 at distance 0.
+    c = CostMatrix.from_array(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    a, d, s = solve_seeded(c, DualPotentials(np.zeros(3), np.zeros(3)))
+    assert s.greedy_matched == 2
+    assert (s.augment_searches, s.dual_update_steps, s.scanned_columns) == (1, 0, 1)
+    assert list(a.row_to_col) == [0, 1, 2]
+    assert np.array_equal(d.u, np.zeros(3)) and np.array_equal(d.v, np.zeros(3))
+
+
+def _harvest_loop(r):
+    """Reference harvest: columns in index order, each to its argmin row
+    when that edge is tight and the row is still free; rows matched."""
+    taken = set()
+    for j in range(r.shape[1]):
+        i = int(np.argmin(r[:, j]))
+        if r[i, j] <= EQ_TOL and i not in taken:
+            taken.add(i)
+    return len(taken)
+
+
+def test_harvest_matches_loop_reference_on_ties():
+    rng = np.random.default_rng(43)
+    for n in range(1, 31):
+        c = CostMatrix.from_array(rng.integers(0, 4, size=(n, n)).astype(np.float64))
+        seed = min_trick(c, rng.integers(0, 3, n).astype(np.float64))
+        _, _, s = solve_seeded(c, seed)
+        assert s.greedy_matched == _harvest_loop(reduced_costs(c.values, seed.u, seed.v))
+        _, _, s = solve_cold(c)
+        assert s.greedy_matched == _harvest_loop(c.values - c.values.min(axis=0))
 
 
 def _tie_heavy(family, n, rng):
