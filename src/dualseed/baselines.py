@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, SingularSystem
 from ._rng import STREAM_SEED_RANDOM, substream
-from .lap_core import CostMatrix
+from .lap_core import CostMatrix, column_minima
 
 
 def seed_row_mean(c: CostMatrix) -> np.ndarray:
@@ -92,7 +92,7 @@ class SubgradientConfig:
 
 
 def dual_objective(values: np.ndarray, u: np.ndarray) -> float:
-    return float(u.sum() + (values - u[:, None]).min(axis=0).sum())
+    return float(u.sum() + column_minima(values, u)[0].sum())
 
 
 def seed_subgradient(c: CostMatrix, cfg: SubgradientConfig) -> np.ndarray:
@@ -115,8 +115,8 @@ def seed_subgradient(c: CostMatrix, cfg: SubgradientConfig) -> np.ndarray:
     t = 0
     while time.monotonic_ns() - start < cfg.time_budget_ns:
         t += 1
-        d = values - u[:, None]
-        counts = np.bincount(d.argmin(axis=0), minlength=n)
+        _, rows, _ = column_minima(values, u, argmins=True)
+        counts = np.bincount(rows, minlength=n)
         grad = 1.0 - counts
         u = u + (step0 / np.sqrt(t)) * grad
         g = dual_objective(values, u)

@@ -95,7 +95,8 @@ def cmd_solve(args) -> int:
         prep["model"] = rowdualnet.load_checkpoint(args.checkpoint, expect_input_dim=cfg.feature_dim)
     assignment, report = bench.run_strategy(args.strategy, c, prep, cfg)
     stats = report.solve_stats
-    counters = f"greedy_matched {stats.greedy_matched} dual_update_steps {stats.dual_update_steps}"
+    counters = " ".join(f"{name} {getattr(stats, name)}" for name in (
+        "greedy_matched", "dual_update_steps", "augment_searches", "scanned_columns"))
     print(f"cost {assignment.total_cost:.9f}")
     if report.density_rho is None:  # cold: no gate and no pipeline stages
         print(counters)
@@ -103,6 +104,8 @@ def cmd_solve(args) -> int:
         print(f"rho {report.density_rho:.3f} fallback {report.fallback_triggered} {counters}")
         for stage, ns in report.stage_times.items():
             print(f"  {stage}: {ns / 1e6:.3f} ms")
+    for phase, ns in stats.phase_times.items():
+        print(f"  solver.{phase}: {ns / 1e6:.3f} ms")
     if args.out:
         np.savetxt(args.out, assignment.row_to_col, fmt="%d")
     return 0

@@ -21,7 +21,17 @@ several are optimal, never its cost.
 
 Reduced costs are always evaluated as (C - u) - v in that association: when v
 was produced as a columnwise min of (C - u), feasibility then holds exactly in
-floating point, not merely up to rounding.
+floating point, not merely up to rounding, and an entry of (C - u) - v is zero
+exactly where C_ij - u_i attains its column's minimum.
+
+Every pass that completes row potentials goes through one kernel,
+column_minima: the column minima of C - u or of (C - u) - v, on request with
+the lowest row attaining each minimum and the number of entries below eps in
+magnitude. It reads C in row blocks through one reused buffer, so no pass
+builds an n x n temporary, and its outputs are bit-identical to whole-matrix
+numpy reductions. solve_cold takes its column argmins from it, solve_seeded
+its feasibility check and harvest rows, and warmstart its completion
+(min_trick) and density gate (equality_density).
 """
 
 import itertools
@@ -36,6 +46,10 @@ FEAS_TOL = 1e-9
 EQ_TOL = 1e-9
 BRUTE_FORCE_LIMIT = 10
 BRUTE_FORCE_CHUNK = 1 << 14  # permutations summed per vectorised block
+# Passes over C (column_minima, and warmstart's and rowdualnet's row-wise
+# passes) work through blocks of whole rows of about this many entries
+# (256 KiB), so each block's temporaries stay in cache.
+BLOCK_ENTRIES = 1 << 15
 
 # phase keys reported in SolveStats.phase_times (nanoseconds)
 PHASE_INIT = "init"
@@ -143,6 +157,48 @@ class CertificateResult:
 def reduced_costs(values: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(C - u) - v, the association every feasibility check relies on."""
     return (values - u[:, None]) - v[None, :]
+
+
+def column_minima(values: np.ndarray, u: np.ndarray, v: np.ndarray | None = None,
+                  argmins: bool = False, eps: float | None = None):
+    """Column minima of C - u, or of (C - u) - v when v is given, in one pass.
+
+    Returns (minima, rows, count): rows[j] is the lowest row attaining column
+    j's minimum if `argmins` is set, count the number of entries of
+    magnitude below `eps` if eps is given, each None otherwise. When v is
+    the completion of u every entry is >= 0 with column minimum 0, so count
+    is the number of equality edges.
+
+    Rows are read in blocks of about BLOCK_ENTRIES entries through one
+    reused buffer. Block minima merge through np.minimum, which keeps the
+    later of two equal values as numpy's whole-matrix reduction does, and
+    block argmins through a strict <, so earlier rows win ties: the outputs
+    equal (C - u).min(axis=0) and .argmin(axis=0) bit for bit, signed zeros
+    included.
+    """
+    n_rows, n = values.shape
+    step = max(1, BLOCK_ENTRIES // n)
+    buf = np.empty((min(step, n_rows), n))
+    minima = rows = None
+    count = 0
+    for lo in range(0, n_rows, step):
+        block = buf[: min(step, n_rows - lo)]
+        np.subtract(values[lo : lo + step], u[lo : lo + step, None], out=block)
+        if v is not None:
+            block -= v
+        low = block.min(axis=0)
+        if argmins:
+            arg = block.argmin(axis=0)
+            if rows is None:
+                rows = arg
+            else:
+                better = low < minima
+                rows[better] = arg[better] + lo
+        minima = low if minima is None else np.minimum(minima, low, out=minima)
+        if eps is not None:
+            np.abs(block, out=block)
+            count += np.count_nonzero(block < eps)
+    return minima, rows, (count if eps is not None else None)
 
 
 def total_cost_of(values: np.ndarray, row_to_col: np.ndarray) -> float:
@@ -325,15 +381,22 @@ def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, stat
             alt -= v_open
             np.minimum(d_open, alt, out=d_open)
         stats.scanned_columns += len(cols) + 1
-        rows = np.array(rows, dtype=np.int64)
-        mus = np.array(mus, dtype=np.float64)
-        path = _trace_path(values, u, v, end, cols, rows, mus)
-
-        if mu > EQ_TOL:
-            stats.dual_update_steps += 1
-            delta = mu - mus
-            u[rows] += delta
-            v[cols] -= delta[1:]
+        if not cols:
+            # ended before any pop: the path is the one edge (end, f), and
+            # only u_f moves (by mu - 0, so by mu exactly)
+            path = [(end, f)]
+            if mu > EQ_TOL:
+                stats.dual_update_steps += 1
+                u[f] += mu
+        else:
+            rows = np.array(rows, dtype=np.int64)
+            mus = np.array(mus, dtype=np.float64)
+            path = _trace_path(values, u, v, end, cols, rows, mus)
+            if mu > EQ_TOL:
+                stats.dual_update_steps += 1
+                delta = mu - mus
+                u[rows] += delta
+                v[cols] -= delta[1:]
 
         for j, i in path:
             col_to_row[j] = i
@@ -384,7 +447,7 @@ def solve_cold(c: CostMatrix) -> tuple[Assignment, DualPotentials, SolveStats]:
     t0 = time.perf_counter_ns()
     u = np.zeros(n, dtype=np.float64)
     t1 = time.perf_counter_ns()
-    argmins = values.argmin(axis=0)
+    _, argmins, _ = column_minima(values, u, argmins=True)
     v = values[argmins, np.arange(n)]
     return _solve_from(values, u, v, argmins, True, t0, t1)
 
@@ -400,7 +463,8 @@ def solve_seeded(c: CostMatrix, seed: DualPotentials) -> tuple[Assignment, DualP
     unchanged. Raises ShapeMismatch for a seed of the wrong length,
     NonFinite when u or v holds NaN or infinity (a NaN would slip through
     the feasibility comparison), and InfeasibleSeed when the seed violates
-    feasibility beyond FEAS_TOL.
+    feasibility beyond FEAS_TOL. The feasibility check and the harvest rows
+    come from one column_minima pass over (C - u) - v.
     """
     values = c.values
     n = c.n
@@ -413,8 +477,8 @@ def solve_seeded(c: CostMatrix, seed: DualPotentials) -> tuple[Assignment, DualP
     v = np.asarray(seed.v, dtype=np.float64).copy()
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NonFinite("seed potentials contain NaN or infinity")
-    r = reduced_costs(values, u, v)
-    if r.min() < -FEAS_TOL:
-        raise InfeasibleSeed(f"seed violates feasibility by {-float(r.min()):.3e}")
+    r_min, argmins, _ = column_minima(values, u, v, argmins=True)
+    if r_min.min() < -FEAS_TOL:
+        raise InfeasibleSeed(f"seed violates feasibility by {-float(r_min.min()):.3e}")
     t1 = time.perf_counter_ns()
-    return _solve_from(values, u, v, r.argmin(axis=0), False, t0, t1)
+    return _solve_from(values, u, v, argmins, False, t0, t1)

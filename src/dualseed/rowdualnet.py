@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import CorruptCheckpoint, EmptyDataset, ShapeMismatch, VersionMismatch
 from ._rng import STREAM_MODEL_INIT, STREAM_TRAIN_SHUFFLE, substream
-from .lap_core import CostMatrix
-from .warmstart import FeatureMatrix, column_potentials
+from .lap_core import BLOCK_ENTRIES, CostMatrix, column_minima
+from .warmstart import FeatureMatrix
 
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"RDN1"
@@ -135,10 +135,17 @@ def _sorted_k_costs(values: np.ndarray, k: int) -> np.ndarray:
 
     Selection on pseudo-reduced costs C_ij - u_init_i equals selection on the
     raw row (the per-row shift preserves order), so this depends on C alone.
+    Each row is selected on its own, so working through blocks of rows gives
+    the same bits as one whole-matrix partition without copying C.
     """
     n = values.shape[1]
     if n >= k:
-        return np.sort(np.partition(values, k - 1, axis=1)[:, :k], axis=1)
+        step = max(1, BLOCK_ENTRIES // n)
+        kv = np.empty((values.shape[0], k))
+        for lo in range(0, values.shape[0], step):
+            part = np.partition(values[lo : lo + step], k - 1, axis=1)[:, :k]
+            kv[lo : lo + step] = np.sort(part, axis=1)
+        return kv
     srows = np.sort(values, axis=1)
     pad = np.repeat(srows[:, -1:], k - n, axis=1)
     return np.concatenate([srows, pad], axis=1)
@@ -226,7 +233,8 @@ def loss(u_hat: np.ndarray, inst, lambda_cs: float) -> tuple[float, LossInternal
     u_star = inst.u_star
     u_hat = np.asarray(u_hat, dtype=np.float64)
     mae = float(np.abs(u_hat - u_star).mean())
-    v_hat, col_argmin = column_potentials(values, u_hat)
+    # col_argmin (lowest row on ties) is the subgradient route of v_hat
+    v_hat, col_argmin, _ = column_minima(values, u_hat, argmins=True)
     edges = inst.optimal_edges
     ei = edges[:, 0]
     ej = edges[:, 1]

@@ -15,10 +15,12 @@ import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
 from .lap_core import (
+    BLOCK_ENTRIES,
     Assignment,
     CostMatrix,
     DualPotentials,
     SolveStats,
+    column_minima,
     solve_cold,
     solve_seeded,
 )
@@ -27,8 +29,6 @@ FEATURE_DIM = 21
 NON_POSITIONAL = 13
 REDUCED_DIMS = (4, 13, 21)
 PE_FREQS = (1.0, 2.0, 4.0, 8.0)
-# extract_features works through blocks of about this many entries (256 KiB)
-BLOCK_ENTRIES = 1 << 15
 
 STAGE_FEATURES = "features"
 STAGE_MODEL = "model"
@@ -201,26 +201,27 @@ def _column_order(values: np.ndarray) -> np.ndarray:
 
     Equals np.argsort(values, axis=0, kind="stable").T. The sort runs on a
     contiguous transposed copy with the default (unstable) algorithm, which
-    can only disagree with the stable one inside runs of equal values; the
-    columns that contain such runs are sorted again stably.
+    can only disagree with the stable one inside runs of equal values. In
+    each column that has such a run, the rows are put in order by one
+    integer sort of the keys run * n + row, where run counts the value
+    changes before each position of the sorted column: runs keep their
+    places and each run's rows come out ascending, which is the stable
+    order. Tie-free columns keep the first sort.
     """
+    n = values.shape[0]
     vt = np.ascontiguousarray(values.T)
     order = np.argsort(vt, axis=1)
     ranked = np.take_along_axis(vt, order, axis=1)
-    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    steps = ranked[:, 1:] != ranked[:, :-1]
+    tied = ~steps.all(axis=1)
     if tied.any():
-        order[tied] = np.argsort(vt[tied], axis=1, kind="stable")
+        run = np.zeros((np.count_nonzero(tied), n), dtype=np.int64)
+        np.cumsum(steps[tied], axis=1, out=run[:, 1:])
+        run *= n
+        keys = run + order[tied]
+        keys.sort(axis=1)
+        order[tied] = keys - run
     return order
-
-
-def column_potentials(values: np.ndarray, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """v_j = min_i(C_ij - u_i) and the attaining row per column.
-
-    The argmin takes the lowest index on ties; it is the subgradient route
-    for the training loss.
-    """
-    d = values - u_hat[:, None]
-    return d.min(axis=0), d.argmin(axis=0)
 
 
 def _row_potentials(u_hat, n: int) -> np.ndarray:
@@ -242,14 +243,19 @@ def min_trick(c: CostMatrix, u_hat: np.ndarray) -> DualPotentials:
     tolerance needed.
     """
     u_hat = _row_potentials(u_hat, c.n)
-    v_hat, _ = column_potentials(c.values, u_hat)
+    v_hat, _, _ = column_minima(c.values, u_hat)
     return DualPotentials(u_hat.copy(), v_hat)
 
 
 def equality_density(c: CostMatrix, d: DualPotentials, eps: float) -> float:
-    """rho = |{(i,j): |C_ij - u_i - v_j| < eps}| / n, in [0, n]."""
-    r = (c.values - d.u[:, None]) - d.v[None, :]
-    return float((np.abs(r) < eps).sum() / c.n)
+    """rho = |{(i,j): |C_ij - u_i - v_j| < eps}| / n, in [0, n].
+
+    For a min_trick completion every reduced cost is >= 0 and each column's
+    minimum is exactly 0, so rho counts the equality edges per row; this is
+    the pipeline's gate.
+    """
+    _, _, count = column_minima(c.values, d.u, d.v, eps=eps)
+    return float(count / c.n)
 
 
 def warm_solve(c: CostMatrix, model, cfg: PipelineConfig) -> tuple[Assignment, PipelineReport]:
@@ -286,7 +292,6 @@ def run_pipeline(
     An output that is not n finite values raises ShapeMismatch or NonFinite
     whatever the gate would decide.
     """
-    values = c.values
     n = c.n
     report = PipelineReport()
 
@@ -295,15 +300,9 @@ def run_pipeline(
     t1 = time.perf_counter_ns()
     u_hat = _row_potentials(predict(feats), n)
     t2 = time.perf_counter_ns()
-    diff = values - u_hat[:, None]
-    v_hat = diff.min(axis=0)
-    duals = DualPotentials(u_hat, v_hat)
+    duals = min_trick(c, u_hat)
     t3 = time.perf_counter_ns()
-    # same O(n^2) sweep as min_trick: reuse the shifted matrix for the gate.
-    # v_hat is the column minimum of diff, so diff - v_hat >= 0 holds exactly
-    # and equals its absolute value; subtract in place and count.
-    diff -= v_hat
-    rho = float(np.count_nonzero(diff < cfg.eps) / n)
+    rho = equality_density(c, duals, cfg.eps)
     fallback = rho < cfg.tau
     t4 = time.perf_counter_ns()
     if fallback:

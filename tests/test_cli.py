@@ -97,6 +97,23 @@ def test_solve_runs_every_registry_strategy(tmp_path, capsys):
     assert len(set(costs.values())) == 1  # the same printed optimal cost
 
 
+@pytest.mark.parametrize("strategy", ["cold", "row_min"])
+def test_solve_prints_solver_counters_and_phases(tmp_path, capsys, strategy):
+    mpath = str(tmp_path / "m.lapm")
+    write_matrix(mpath, gen_dense(12, seed=4))
+    code, out, _ = run(capsys, "solve", mpath, "--strategy", strategy)
+    assert code == 0
+    lines = out.splitlines()
+    fields = lines[1].split()
+    counters = dict(zip(fields[-8::2], map(int, fields[-7::2])))
+    assert list(counters) == ["greedy_matched", "dual_update_steps", "augment_searches", "scanned_columns"]
+    assert counters["augment_searches"] <= counters["scanned_columns"]
+    phases = [line.split(":")[0].strip() for line in lines if line.strip().startswith("solver.")]
+    assert phases == ["solver.init", "solver.greedy", "solver.augment"]
+    stages = [line.split(":")[0].strip() for line in lines[2:] if not line.strip().startswith("solver.")]
+    assert stages == ([] if strategy == "cold" else ["features", "model", "min_trick", "fallback_check", "solver"])
+
+
 def test_train_activation_and_transpose_flags(tmp_path, capsys):
     dpath = str(tmp_path / "train.lapd")
     ckpt = str(tmp_path / "model.ckpt")

@@ -2,11 +2,13 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualseed import lap_core
 from dualseed.datagen import BlockParams, gen_block, gen_dense
 from dualseed.errors import InfeasibleSeed, NonFinite, NonSquare, ShapeMismatch, TooLarge
 from dualseed.lap_core import (
@@ -16,6 +18,7 @@ from dualseed.lap_core import (
     DualPotentials,
     brute_force,
     center_duals,
+    column_minima,
     reduced_costs,
     solve_cold,
     solve_seeded,
@@ -386,6 +389,66 @@ def test_differential_vs_scipy_on_tie_heavy_costs(family):
             assert abs(a.total_cost - optimum) <= 1e-9 * max(1.0, abs(optimum)), (family, n)
             assert verify_certificate(c, a, d), (family, n)
             assert s.augment_searches <= s.scanned_columns
+
+
+# ------------------------------------------------------------- column_minima
+
+def _kernel_inputs(family, n, rng):
+    if family == "levels":
+        values = rng.integers(0, 3, (n, n)).astype(np.float64)
+        u = rng.integers(0, 2, n).astype(np.float64)
+    elif family == "signed-zero":
+        # -0.0 and +0.0 compare equal, so which one a minimum keeps shows
+        # only in the bits
+        values = rng.choice(np.array([-0.0, 0.0, 1.0]), size=(n, n))
+        u = rng.choice(np.array([-0.0, 0.0]), size=n)
+    else:
+        values = rng.random((n, n))
+        u = rng.normal(0.0, 0.3, n)
+    v = rng.choice(np.array([-0.0, 0.0, 0.5]), size=n) if family != "dense" else rng.random(n)
+    return values, u, v
+
+
+@pytest.mark.parametrize("family", ["levels", "signed-zero", "dense"])
+def test_column_minima_matches_whole_matrix(family, monkeypatch):
+    rng = np.random.default_rng(47)
+    n = 31
+    values, u, v = _kernel_inputs(family, n, rng)
+    d = values - u[:, None]
+    for rows_per_block in (1, n // 3, n):
+        monkeypatch.setattr(lap_core, "BLOCK_ENTRIES", rows_per_block * n)
+        for shift, whole in ((None, d), (v, d - v)):
+            minima, rows, count = column_minima(values, u, shift, argmins=True, eps=0.25)
+            assert minima.tobytes() == whole.min(axis=0).tobytes()
+            assert np.array_equal(rows, whole.argmin(axis=0))
+            assert count == np.count_nonzero(np.abs(whole) < 0.25)
+            plain = column_minima(values, u, shift)
+            assert plain[0].tobytes() == minima.tobytes() and plain[1:] == (None, None)
+
+
+def test_search_ending_before_any_pop_still_moves_u():
+    # zero seed: row 0 takes column 0, row 1 stays free. Its search finds
+    # free column 1 at distance 1 before popping anything; the path is the
+    # one edge (1, 1) and u_1 must rise by 1 to keep that edge tight.
+    c = CostMatrix.from_array(np.array([[0.0, 5.0], [3.0, 1.0]]))
+    a, d, s = solve_seeded(c, DualPotentials(np.zeros(2), np.zeros(2)))
+    assert (s.greedy_matched, s.augment_searches, s.dual_update_steps, s.scanned_columns) == (1, 1, 1, 1)
+    assert list(a.row_to_col) == [0, 1]
+    assert np.array_equal(d.u, [0.0, 1.0]) and np.array_equal(d.v, [0.0, 0.0])
+    assert verify_certificate(c, a, d)
+
+
+def test_solve_cold_builds_no_n_squared_temporary():
+    c = gen_dense(1024, seed=3)
+    solve_cold(c)  # a first call allocates once-only state (lazy imports)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_cold(c)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * c.values.nbytes
 
 
 # --------------------------------------------------------- verify_certificate

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from dualseed import datagen
+from dualseed import datagen, rowdualnet
 from dualseed.errors import CorruptCheckpoint, EmptyDataset, ShapeMismatch, VersionMismatch
 from dualseed.rowdualnet import (
     CHECKPOINT_VERSION,
@@ -75,7 +75,7 @@ def test_forward_padded_topk_matches_unpadded():
 
 
 @pytest.mark.parametrize("k", [1, 4, 9, 10, 16])
-def test_sorted_k_costs_matches_full_sort(k):
+def test_sorted_k_costs_matches_full_sort(k, monkeypatch):
     rng = np.random.default_rng(k)
     values = rng.integers(0, 4, (7, 9)).astype(np.float64)
     srows = np.sort(values, axis=1)
@@ -83,7 +83,9 @@ def test_sorted_k_costs_matches_full_sort(k):
         expected = srows[:, :k]
     else:
         expected = np.concatenate([srows, np.repeat(srows[:, -1:], k - 9, axis=1)], axis=1)
-    assert np.array_equal(_sorted_k_costs(values, k), expected)
+    for rows_per_block in (1, 3, 7):  # blocks of rows give the same bits
+        monkeypatch.setattr(rowdualnet, "BLOCK_ENTRIES", rows_per_block * 9)
+        assert np.array_equal(_sorted_k_costs(values, k), expected)
 
 
 def test_forward_row_set_equivariance_exact():

@@ -1,10 +1,14 @@
 """Feature extraction, min-trick completion, density gate, pipeline tests."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualseed import warmstart
+from dualseed import baselines, warmstart
+from dualseed.datagen import BlockParams, gen_block, gen_dense
 from dualseed.errors import NonFinite, ShapeMismatch
 from dualseed.lap_core import CostMatrix, DualPotentials, reduced_costs, solve_cold
 from dualseed.warmstart import (
@@ -90,6 +94,56 @@ def test_block_size_leaves_features_bit_identical(monkeypatch):
         for entries in (1, 37 * 5, 37 * 37):
             monkeypatch.setattr(warmstart, "BLOCK_ENTRIES", entries)
             assert np.array_equal(extract_features(c, PipelineConfig()).values, feats)
+
+
+@pytest.mark.parametrize("kind", ["levels", "signed-zero", "dense"])
+def test_column_order_is_the_stable_argsort(kind):
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 64):
+        if kind == "levels":
+            values = rng.integers(0, 3, (n, n)).astype(np.float64)
+        elif kind == "signed-zero":
+            values = rng.choice(np.array([-0.0, 0.0, 1.0]), size=(n, n))
+        else:
+            values = rng.random((n, n))
+        expected = np.argsort(values, axis=0, kind="stable").T
+        assert np.array_equal(warmstart._column_order(values), expected)
+
+
+def _sha(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def _golden_instance(name):
+    if name == "block-256":
+        return gen_block(BlockParams(n=256, seed=777))
+    return gen_dense(int(name.split("-")[1]), seed=777)
+
+
+# Bytes of the normalised 21-column features, pinned: a change that moves
+# them changes what every model reads, not only how fast it is computed.
+# Recorded with numpy 2.4 on x86-64; exp and log may round differently on
+# another numpy build or CPU.
+GOLDEN_FEATURES = {
+    "dense-128": "0bbe08bd5da2cff8a42f9208a192ec9e98b7c6765321157cba630a20f7b95a85",
+    "block-256": "301fb900c7c4aba6a5ef19bff9e8070e452a54c5fcb2f95f14afdf842b07990a",
+    "levels-1": "22ba2fec54f8b72cf3707c0baca9c58ec060a8466026e2a584284f61b08d4409",
+    "levels-2": "e67844fdcae1016712670a12cc1e0615a330f546acbb7864a8883bb12ce9e742",
+    "levels-3": "9355c3e5d6ccb5ad459eb91ea49e577b772f0c61447479c1c7adb5198ec2e0d5",
+    "levels-50": "3b0e1dbc0c9e0fca3c0f70449060bc68c2c67f6c2e693612e536a712d2d72aac",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FEATURES))
+def test_features_golden_bytes(name):
+    if name.startswith("levels"):
+        # the tie-heavy matrices of test_rank_features_tie_heavy_match_stable_argsort
+        levels = int(name.split("-")[1])
+        rng = np.random.default_rng(levels)
+        c = CostMatrix.from_array(rng.integers(0, levels, (200, 200)).astype(np.float64))
+    else:
+        c = _golden_instance(name)
+    assert _sha(extract_features(c, PipelineConfig()).values) == GOLDEN_FEATURES[name]
 
 
 def test_entropy_bounds_and_order_stats():
@@ -319,6 +373,70 @@ def test_pipeline_rejects_non_finite_prediction(bad, tau):
     u_hat[3] = bad
     with pytest.raises(NonFinite):
         run_pipeline(c, lambda feats: u_hat, PipelineConfig(tau=tau), needs_features=False)
+
+
+# (instance, predictor, tau) -> (rho as float.hex, fallback, greedy_matched,
+# augment_searches, dual_update_steps, scanned_columns, sha256 of row_to_col).
+# "normal" falls back at tau 1.2 and is consumed at tau 1.0; "row_min" passes
+# the gate with rho > 1.
+GOLDEN_PIPELINE = {
+    ("dense-128", "normal", 1.2): ("0x1.0000000000000p+0", True, 82, 46, 46, 430,
+        "994b4d69c5db58cf0df07c4dfee1dd40ad3053d43f558cbc7afde8162cbde26a"),
+    ("dense-128", "normal", 1.0): ("0x1.0000000000000p+0", False, 12, 116, 116, 4040,
+        "994b4d69c5db58cf0df07c4dfee1dd40ad3053d43f558cbc7afde8162cbde26a"),
+    ("dense-128", "row_min", 1.2): ("0x1.5e00000000000p+0", False, 95, 33, 30, 603,
+        "994b4d69c5db58cf0df07c4dfee1dd40ad3053d43f558cbc7afde8162cbde26a"),
+    ("block-256", "normal", 1.2): ("0x1.0000000000000p+0", True, 58, 198, 0, 600,
+        "954fde2994b247220b49b35a20f1e0aa283dadb3b190df8248db559275e62af5"),
+    ("block-256", "normal", 1.0): ("0x1.0000000000000p+0", False, 45, 211, 211, 10630,
+        "565a26d7b6f82f04c948bab9208ed5b9145a82f8671362d4a4eb19e7f2100c46"),
+    ("block-256", "row_min", 1.2): ("0x1.73c0000000000p+3", False, 58, 198, 0, 600,
+        "954fde2994b247220b49b35a20f1e0aa283dadb3b190df8248db559275e62af5"),
+    ("dense-1024", "normal", 1.2): ("0x1.0000000000000p+0", True, 636, 388, 388, 14572,
+        "00f8c012bbb1d881469e2a85558b9d7e322d598ee03a409ba7a364f40aba7569"),
+    ("dense-1024", "normal", 1.0): ("0x1.0000000000000p+0", False, 31, 993, 993, 371541,
+        "00f8c012bbb1d881469e2a85558b9d7e322d598ee03a409ba7a364f40aba7569"),
+    ("dense-1024", "row_min", 1.2): ("0x1.6080000000000p+0", False, 760, 264, 223, 15840,
+        "00f8c012bbb1d881469e2a85558b9d7e322d598ee03a409ba7a364f40aba7569"),
+}
+
+
+@pytest.mark.parametrize("name,predictor,tau", sorted(GOLDEN_PIPELINE))
+def test_pipeline_golden_outputs(name, predictor, tau):
+    c = _golden_instance(name)
+    if predictor == "normal":
+        u_hat = np.random.default_rng(31).normal(0.0, 0.3, c.n)
+    else:
+        u_hat = baselines.seed_row_min(c)
+    a, report = run_pipeline(c, lambda feats: u_hat, PipelineConfig(tau=tau), needs_features=False)
+    s = report.solve_stats
+    got = (report.density_rho.hex(), report.fallback_triggered, s.greedy_matched,
+           s.augment_searches, s.dual_update_steps, s.scanned_columns, _sha(a.row_to_col))
+    assert got == GOLDEN_PIPELINE[(name, predictor, tau)]
+
+
+@pytest.mark.parametrize("tau", [1.2, 1.0])
+def test_pipeline_builds_no_n_squared_temporary(tau):
+    """Features, model, completion, gate and solve stay within 0.25 C of
+    allocation above C itself, whichever way the gate decides."""
+    from dualseed.rowdualnet import forward, init_model
+
+    c = gen_dense(1024, seed=3)
+    model = init_model(21, hidden_dim=8, seed=0)
+    cfg = PipelineConfig(tau=tau)
+
+    def pipeline():
+        return run_pipeline(c, lambda feats: forward(model, feats, c), cfg)
+
+    assert pipeline()[1].fallback_triggered == (tau > 1.0)
+    tracemalloc.start()  # after a first run, which allocates once-only state
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pipeline()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * c.values.nbytes
 
 
 def test_warm_solve_checks_model_dim():
