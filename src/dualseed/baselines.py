@@ -115,7 +115,7 @@ def seed_subgradient(c: CostMatrix, cfg: SubgradientConfig) -> np.ndarray:
     t = 0
     while time.monotonic_ns() - start < cfg.time_budget_ns:
         t += 1
-        _, rows, _ = column_minima(values, u, argmins=True)
+        _, rows = column_minima(values, u, argmins=True)
         counts = np.bincount(rows, minlength=n)
         grad = 1.0 - counts
         u = u + (step0 / np.sqrt(t)) * grad

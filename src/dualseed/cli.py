@@ -96,7 +96,8 @@ def cmd_solve(args) -> int:
     assignment, report = bench.run_strategy(args.strategy, c, prep, cfg)
     stats = report.solve_stats
     counters = " ".join(f"{name} {getattr(stats, name)}" for name in (
-        "greedy_matched", "dual_update_steps", "augment_searches", "scanned_columns"))
+        "greedy_matched", "dual_update_steps", "augment_searches", "equality_searches",
+        "scanned_columns"))
     print(f"cost {assignment.total_cost:.9f}")
     if report.density_rho is None:  # cold: no gate and no pipeline stages
         print(counters)

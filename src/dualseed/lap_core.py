@@ -19,6 +19,19 @@ minimal distance, the search ends there instead of popping a tied assigned
 column first. The rule changes which optimal assignment comes back when
 several are optimal, never its cost.
 
+Searches that end at distance 0 have a second, exact path. At distance 0 the
+search's relaxation ((C_i - u_i) + 0) - v is zero exactly where
+(C_i - u_i) - v is, up to the sign of zero, and >= 0 elsewhere in a row with
+no negative entry, so the search's pops, end column and traced path all
+follow from the equality graph: each row's tight columns. The first search
+that starts at distance exactly 0, before any dual move, builds that graph
+once in one blocked pass; later searches that can end at distance 0 walk it
+in Python instead of making about ten numpy calls per pop, and give the same
+path, counters and duals bit for bit. The numpy search takes over from
+scratch for any other search, the graph is dropped once a search moves the
+duals, and it is not built when the rows average more than
+EQUALITY_GRAPH_LIMIT tight columns, where walking it costs more.
+
 Reduced costs are always evaluated as (C - u) - v in that association: when v
 was produced as a columnwise min of (C - u), feasibility then holds exactly in
 floating point, not merely up to rounding, and an entry of (C - u) - v is zero
@@ -26,14 +39,17 @@ exactly where C_ij - u_i attains its column's minimum.
 
 Every pass that completes row potentials goes through one kernel,
 column_minima: the column minima of C - u or of (C - u) - v, on request with
-the lowest row attaining each minimum and the number of entries below eps in
-magnitude. It reads C in row blocks through one reused buffer, so no pass
-builds an n x n temporary, and its outputs are bit-identical to whole-matrix
-numpy reductions. solve_cold takes its column argmins from it, solve_seeded
-its feasibility check and harvest rows, and warmstart its completion
-(min_trick) and density gate (equality_density).
+the lowest row attaining each minimum. It reads C in row blocks through one
+reused buffer, so no pass builds an n x n temporary, and its outputs are
+bit-identical to whole-matrix numpy reductions. solve_cold takes its column
+argmins from it, solve_seeded its feasibility check and harvest rows, and
+warmstart its completion (min_trick). The density gate (equality_density)
+counts near-zero entries through the same blocks (equality_count), and the
+equality graph is built from them; the reduction transfer reads the
+assigned rows in blocks of the same size.
 """
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -50,6 +66,9 @@ BRUTE_FORCE_CHUNK = 1 << 14  # permutations summed per vectorised block
 # passes) work through blocks of whole rows of about this many entries
 # (256 KiB), so each block's temporaries stay in cache.
 BLOCK_ENTRIES = 1 << 15
+# The augment phase's equality graph is built only while the rows average at
+# most this many tight columns; above it the numpy search is faster.
+EQUALITY_GRAPH_LIMIT = 32
 
 # phase keys reported in SolveStats.phase_times (nanoseconds)
 PHASE_INIT = "init"
@@ -133,6 +152,10 @@ class SolveStats:
     work that sets the augment phase's time. Under the LAPJV tie rule a
     search ends as soon as an unassigned column reaches the minimal
     distance, so it stops before scanning the assigned columns tied with it.
+    equality_searches counts the searches resolved on the equality graph
+    (see the module docstring) rather than by the numpy search; each of
+    them ends at distance 0, leaves the duals as they are and adds its pops
+    plus one to scanned_columns, as the numpy search would.
     """
 
     greedy_matched: int = 0
@@ -140,6 +163,7 @@ class SolveStats:
     augment_searches: int = 0
     dual_update_steps: int = 0
     scanned_columns: int = 0
+    equality_searches: int = 0
     phase_times: dict = field(default_factory=dict)
 
 
@@ -159,33 +183,36 @@ def reduced_costs(values: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     return (values - u[:, None]) - v[None, :]
 
 
-def column_minima(values: np.ndarray, u: np.ndarray, v: np.ndarray | None = None,
-                  argmins: bool = False, eps: float | None = None):
-    """Column minima of C - u, or of (C - u) - v when v is given, in one pass.
-
-    Returns (minima, rows, count): rows[j] is the lowest row attaining column
-    j's minimum if `argmins` is set, count the number of entries of
-    magnitude below `eps` if eps is given, each None otherwise. When v is
-    the completion of u every entry is >= 0 with column minimum 0, so count
-    is the number of equality edges.
-
-    Rows are read in blocks of about BLOCK_ENTRIES entries through one
-    reused buffer. Block minima merge through np.minimum, which keeps the
-    later of two equal values as numpy's whole-matrix reduction does, and
-    block argmins through a strict <, so earlier rows win ties: the outputs
-    equal (C - u).min(axis=0) and .argmin(axis=0) bit for bit, signed zeros
-    included.
-    """
+def _row_blocks(values: np.ndarray, u: np.ndarray, v: np.ndarray | None):
+    """Yield (lo, block): rows lo, lo + 1, ... of C - u, or of (C - u) - v,
+    in blocks of about BLOCK_ENTRIES entries written into one reused buffer
+    (so a block is valid until the next one is yielded)."""
     n_rows, n = values.shape
     step = max(1, BLOCK_ENTRIES // n)
     buf = np.empty((min(step, n_rows), n))
-    minima = rows = None
-    count = 0
     for lo in range(0, n_rows, step):
         block = buf[: min(step, n_rows - lo)]
         np.subtract(values[lo : lo + step], u[lo : lo + step, None], out=block)
         if v is not None:
             block -= v
+        yield lo, block
+
+
+def column_minima(values: np.ndarray, u: np.ndarray, v: np.ndarray | None = None,
+                  argmins: bool = False):
+    """Column minima of C - u, or of (C - u) - v when v is given, in one pass.
+
+    Returns (minima, rows): rows[j] is the lowest row attaining column j's
+    minimum if `argmins` is set, None otherwise.
+
+    Block minima merge through np.minimum, which keeps the later of two
+    equal values as numpy's whole-matrix reduction does, and block argmins
+    through a strict <, so earlier rows win ties: the outputs equal
+    (C - u).min(axis=0) and .argmin(axis=0) bit for bit, signed zeros
+    included.
+    """
+    minima = rows = None
+    for lo, block in _row_blocks(values, u, v):
         low = block.min(axis=0)
         if argmins:
             arg = block.argmin(axis=0)
@@ -195,10 +222,18 @@ def column_minima(values: np.ndarray, u: np.ndarray, v: np.ndarray | None = None
                 better = low < minima
                 rows[better] = arg[better] + lo
         minima = low if minima is None else np.minimum(minima, low, out=minima)
-        if eps is not None:
-            np.abs(block, out=block)
-            count += np.count_nonzero(block < eps)
-    return minima, rows, (count if eps is not None else None)
+    return minima, rows
+
+
+def equality_count(values: np.ndarray, u: np.ndarray, v: np.ndarray, eps: float) -> int:
+    """Number of entries of (C - u) - v whose magnitude is below eps, counted
+    in one blocked pass. When v is the completion of u every entry is >= 0
+    with column minimum 0, so this is the number of equality edges."""
+    count = 0
+    for _, block in _row_blocks(values, u, v):
+        np.abs(block, out=block)
+        count += np.count_nonzero(block < eps)
+    return count
 
 
 def total_cost_of(values: np.ndarray, row_to_col: np.ndarray) -> float:
@@ -258,24 +293,57 @@ def verify_certificate(
 
 
 def _reduction_transfer(values, u, v, row_to_col):
-    """Shift slack from assigned rows onto their columns.
+    """Shift slack from assigned rows onto their columns, rows in index order.
 
     For an assigned row i with column j1, the second-best reduced cost
     mu = min_{j != j1}(C_ij - v_j) - u_i moves into u_i while v_j1 drops by
     the same amount, keeping the assigned edge tight and the duals feasible.
+
+    One blocked pass over the assigned rows finds, under the starting v,
+    each row's smallest C_ij - v_j off its own column and a column attaining
+    it; a scalar loop in row order then applies the moves. That is exact:
+    while every mu so far is >= 0, a moved column's entries only rise, so a
+    row whose minimum sits at a column no earlier row moved keeps that
+    minimum. In the cold start (u = 0, v the column minima) every entry of
+    C - v is >= 0, so every mu is. A row whose minimum column was moved is
+    recomputed from the current v as a plain row loop would, and so is every
+    row after a mu < 0. The sign of a zero minimum (which depends on which
+    zeros tie) moves no bit of u or v unless they hold a -0.0; then every
+    row is recomputed.
     """
     n = values.shape[0]
     if n == 1:
         return
-    for i in range(n):
-        j1 = row_to_col[i]
-        if j1 < 0:
-            continue
-        slack = values[i] - v
-        slack[j1] = np.inf
-        mu = slack.min() - u[i]
-        v[j1] -= mu
-        u[i] += mu
+    rows = np.flatnonzero(row_to_col >= 0)
+    cols = row_to_col[rows]
+    args = np.empty(len(rows), dtype=np.int64)
+    mins = np.empty(len(rows))
+    step = max(1, BLOCK_ENTRIES // n)
+    buf = np.empty((min(step, len(rows)), n))
+    for lo in range(0, len(rows), step):
+        block = buf[: len(rows[lo : lo + step])]
+        local = np.arange(len(block))
+        np.subtract(values[rows[lo : lo + step]], v, out=block)
+        block[local, cols[lo : lo + step]] = np.inf
+        args[lo : lo + step] = block.argmin(axis=1)
+        mins[lo : lo + step] = block[local, args[lo : lo + step]]
+    # Python floats do the same IEEE arithmetic as numpy's float64 scalars
+    uu, vv = u.tolist(), v.tolist()
+    moved = [False] * n
+    duals = np.concatenate((u, v))
+    exact = bool(np.signbit(duals[duals == 0.0]).any())
+    for i, j1, m, a in zip(rows.tolist(), cols.tolist(), mins.tolist(), args.tolist()):
+        if exact or moved[a]:
+            slack = values[i] - v
+            slack[j1] = np.inf
+            m = float(slack.min())
+        mu = m - uu[i]
+        uu[i] += mu
+        vv[j1] -= mu
+        v[j1] = vv[j1]
+        moved[j1] = mu > 0
+        exact = exact or mu < 0
+    u[:] = uu
 
 
 def center_duals(
@@ -337,70 +405,164 @@ def _trace_path(values, u, v, end, cols, rows, mus):
         j, t = cols[p - 1], p
 
 
-def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, stats):
-    """Resolve each free row with a Dijkstra search over reduced costs.
+def _equality_graph(values, u, v):
+    """The equality graph of (C - u) - v, or None when it is too dense.
 
-    Each pop takes the lowest-index open column at the minimal distance mu,
-    except that an unassigned column at mu ends the search at once (the
-    LAPJV rule; any column at mu is a valid pop, so the optimum is the same,
-    but on ties the returned assignment can differ). A popped column's row is
-    relaxed over its contiguous row of C; finished columns sit at +inf in the
-    open distances and at -inf in the column potentials used for relaxing,
-    so the relaxation cannot reopen them. stats.scanned_columns adds the
-    columns each search finished, its end column included.
-
-    Potentials move only when the shortest path length exceeds EQ_TOL;
-    zero-length paths (within the equality subgraph) augment the matching
-    without touching the duals, so an already-optimal seed passes through
-    bit-identically.
+    Returns (tight, nonneg): tight[i] lists, ascending, the columns where
+    row i's reduced cost is exactly 0.0, and nonneg[i] says the row has no
+    negative entry. None once the rows read so far average more than
+    EQUALITY_GRAPH_LIMIT tight columns (a constant matrix makes every entry
+    tight), where walking the lists in Python costs more than the numpy
+    search they stand in for; stopping at the first such block keeps a
+    declined build to a fraction of a pass.
     """
     n = values.shape[0]
-    alt = np.empty(n)
+    flats, nonneg = [], []
+    size = 0
+    for lo, block in _row_blocks(values, u, v):
+        nonneg += (block.min(axis=1) >= 0.0).tolist()
+        flat = np.flatnonzero(block == 0.0)
+        size += len(flat)
+        if size > EQUALITY_GRAPH_LIMIT * (lo + len(block)):
+            return None
+        flats.append(flat + lo * n)
+    flat = np.concatenate(flats)  # row-major positions, so rows in order
+    bounds = np.searchsorted(flat, np.arange(0, n * n + 1, n)).tolist()
+    cols = (flat % n).tolist()
+    return [cols[a:b] for a, b in zip(bounds, bounds[1:])], nonneg
+
+
+def _equality_search(graph, owner, f):
+    """A search from free row f that ends at distance 0, run on the graph.
+
+    Returns (path, pops) exactly as the numpy search would find them, or
+    None when f or a popped column's row has a negative entry, or the tight
+    columns reachable from f are all assigned. Like the numpy search at
+    distance 0 (see the module docstring), it pops the lowest-index reached
+    column first (a heap) and ends at the lowest-index free column reached,
+    checked before the first pop and after each; like _trace_path, it takes
+    as a column's predecessor the first relaxed row tight in it.
+    """
+    tight, nonneg = graph
+    if not nonneg[f]:
+        return None
+    pred, heap, popped = {}, [], {}  # popped: row -> the column popped for it
+    i = f
+    while True:
+        for c in tight[i]:
+            if c not in pred:
+                pred[c] = i
+                if owner[c] < 0:  # the lowest-index free column reached
+                    path = []
+                    while True:
+                        i = pred[c]
+                        path.append((c, i))
+                        if i == f:
+                            return path, len(popped)
+                        c = popped[i]
+                heapq.heappush(heap, c)
+        if not heap:
+            return None
+        j = heapq.heappop(heap)
+        i = owner[j]
+        if not nonneg[i]:
+            return None
+        popped[i] = j
+
+
+def _dijkstra(values, u, v, col_to_row, f, d_open, j, stats):
+    """The numpy search from free row f: (its alternating path, whether
+    it moved the duals).
+
+    d_open holds the distances (C_f - u_f) - v and j its argmin. Each pop
+    takes the lowest-index open column at the minimal distance mu, except
+    that an unassigned column at mu ends the search at once (the LAPJV rule;
+    any column at mu is a valid pop, so the optimum is the same, but on ties
+    the returned assignment can differ). A popped column's row is relaxed
+    over its contiguous row of C; finished columns sit at +inf in the open
+    distances and at -inf in the column potentials used for relaxing, so
+    the relaxation cannot reopen them. The potentials move, and
+    stats.dual_update_steps counts the search, only when the path length
+    exceeds EQ_TOL.
+    """
+    free_cols = np.flatnonzero(col_to_row < 0)
+    v_open = v.copy()
+    alt = np.empty_like(v)
+    cols, rows, mus = [], [f], [0.0]
+    mu = d_open[j]
+    while True:
+        d_free = d_open[free_cols]
+        k = d_free.argmin()
+        if d_free[k] == mu:
+            end = free_cols[k]
+            break
+        i1 = col_to_row[j]
+        cols.append(j)
+        rows.append(i1)
+        mus.append(mu)
+        d_open[j] = np.inf
+        v_open[j] = -np.inf
+        np.subtract(values[i1], u[i1], out=alt)
+        alt += mu
+        alt -= v_open
+        np.minimum(d_open, alt, out=d_open)
+        j = d_open.argmin()
+        mu = d_open[j]
+    stats.scanned_columns += len(cols) + 1
+    if not cols:
+        # ended before any pop: the path is the one edge (end, f), and
+        # only u_f moves (by mu - 0, so by mu exactly)
+        path = [(end, f)]
+        if mu > EQ_TOL:
+            stats.dual_update_steps += 1
+            u[f] += mu
+        return path, mu > EQ_TOL
+    rows = np.array(rows, dtype=np.int64)
+    mus = np.array(mus, dtype=np.float64)
+    path = _trace_path(values, u, v, end, cols, rows, mus)
+    if mu > EQ_TOL:
+        stats.dual_update_steps += 1
+        delta = mu - mus
+        u[rows] += delta
+        v[cols] -= delta[1:]
+    return path, mu > EQ_TOL
+
+
+def _shortest_path_augment(values, u, v, row_to_col, col_to_row, free_rows, stats):
+    """Resolve each free row with a shortest augmenting path search.
+
+    The first search whose first popped distance is exactly 0.0, before any
+    dual move, builds the equality graph of the current duals; from then on
+    each search first tries to end at distance 0 on it and runs the numpy
+    search from scratch when it cannot. A search that moves the duals drops
+    the graph for the rest of the solve. stats.scanned_columns adds the
+    columns each search finished, its end column included.
+    """
+    graph = None  # not built yet; False once declined or dropped
+    owner = None  # col_to_row as a list, kept while the graph lives
     for f in free_rows:
         stats.augment_searches += 1
-        free_cols = np.flatnonzero(col_to_row < 0)
-        d_open = (values[f] - u[f]) - v
-        v_open = v.copy()
-        cols, rows, mus = [], [f], [0.0]
-        while True:
+        found = graph and _equality_search(graph, owner, f)
+        if not found:
+            d_open = (values[f] - u[f]) - v
             j = d_open.argmin()
-            mu = d_open[j]
-            d_free = d_open[free_cols]
-            k = d_free.argmin()
-            if d_free[k] == mu:
-                end = free_cols[k]
-                break
-            i1 = col_to_row[j]
-            cols.append(j)
-            rows.append(i1)
-            mus.append(mu)
-            d_open[j] = np.inf
-            v_open[j] = -np.inf
-            np.subtract(values[i1], u[i1], out=alt)
-            alt += mu
-            alt -= v_open
-            np.minimum(d_open, alt, out=d_open)
-        stats.scanned_columns += len(cols) + 1
-        if not cols:
-            # ended before any pop: the path is the one edge (end, f), and
-            # only u_f moves (by mu - 0, so by mu exactly)
-            path = [(end, f)]
-            if mu > EQ_TOL:
-                stats.dual_update_steps += 1
-                u[f] += mu
+            if graph is None and d_open[j] == 0.0:
+                graph = _equality_graph(values, u, v) or False
+                owner = graph and col_to_row.tolist()
+                found = graph and _equality_search(graph, owner, f)
+        if found:
+            path, pops = found
+            stats.equality_searches += 1
+            stats.scanned_columns += pops + 1
         else:
-            rows = np.array(rows, dtype=np.int64)
-            mus = np.array(mus, dtype=np.float64)
-            path = _trace_path(values, u, v, end, cols, rows, mus)
-            if mu > EQ_TOL:
-                stats.dual_update_steps += 1
-                delta = mu - mus
-                u[rows] += delta
-                v[cols] -= delta[1:]
-
+            path, moved = _dijkstra(values, u, v, col_to_row, f, d_open, j, stats)
+            if moved:
+                graph = owner = False
         for j, i in path:
             col_to_row[j] = i
             row_to_col[i] = j
+            if owner:
+                owner[j] = i
 
 
 def _solve_from(values, u, v, argmins, transfer, t0, t1):
@@ -447,7 +609,7 @@ def solve_cold(c: CostMatrix) -> tuple[Assignment, DualPotentials, SolveStats]:
     t0 = time.perf_counter_ns()
     u = np.zeros(n, dtype=np.float64)
     t1 = time.perf_counter_ns()
-    _, argmins, _ = column_minima(values, u, argmins=True)
+    _, argmins = column_minima(values, u, argmins=True)
     v = values[argmins, np.arange(n)]
     return _solve_from(values, u, v, argmins, True, t0, t1)
 
@@ -477,7 +639,7 @@ def solve_seeded(c: CostMatrix, seed: DualPotentials) -> tuple[Assignment, DualP
     v = np.asarray(seed.v, dtype=np.float64).copy()
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NonFinite("seed potentials contain NaN or infinity")
-    r_min, argmins, _ = column_minima(values, u, v, argmins=True)
+    r_min, argmins = column_minima(values, u, v, argmins=True)
     if r_min.min() < -FEAS_TOL:
         raise InfeasibleSeed(f"seed violates feasibility by {-float(r_min.min()):.3e}")
     t1 = time.perf_counter_ns()

@@ -166,9 +166,17 @@ def _cost_scale(kv: np.ndarray, n: int) -> float:
     return sigma if sigma > 0.0 else 1.0
 
 
-def _forward_cached(p: ModelParams, f, c, for_backward: bool = True) -> dict:
+def _cost_constants(values: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """(kv, sigma): each row's K smallest costs and the cost scale, which
+    depend on C alone, so training computes them once per instance."""
+    kv = _sorted_k_costs(values, k)
+    return kv, _cost_scale(kv, values.shape[1])
+
+
+def _forward_cached(p: ModelParams, f, c, for_backward: bool = True, consts=None) -> dict:
     """Forward pass; with for_backward it also keeps what the backward pass
-    reads (per-block activations and derivatives), which inference skips."""
+    reads (per-block activations and derivatives), which inference skips.
+    consts is _cost_constants(C, p.refine_k) when the caller has it."""
     x = _as_feature_array(f)
     values = _as_cost_array(c)
     if x.ndim != 2 or x.shape[1] != p.input_dim:
@@ -192,8 +200,7 @@ def _forward_cached(p: ModelParams, f, c, for_backward: bool = True) -> dict:
         if for_backward:
             cache["blocks"].append({"z": z, "std": std, "y": y, "a": a, "dact": dact, "t": t})
 
-    kv = _sorted_k_costs(values, p.refine_k)
-    sigma = _cost_scale(kv, values.shape[1])
+    kv, sigma = consts if consts is not None else _cost_constants(values, p.refine_k)
     u_init = sigma * (h @ w["w_out"]) + w["b_out"][0]
     s = (kv - u_init[:, None]) / sigma
     hp = h + s @ w["w_ref"] + w["b_ref"]
@@ -234,7 +241,7 @@ def loss(u_hat: np.ndarray, inst, lambda_cs: float) -> tuple[float, LossInternal
     u_hat = np.asarray(u_hat, dtype=np.float64)
     mae = float(np.abs(u_hat - u_star).mean())
     # col_argmin (lowest row on ties) is the subgradient route of v_hat
-    v_hat, col_argmin, _ = column_minima(values, u_hat, argmins=True)
+    v_hat, col_argmin = column_minima(values, u_hat, argmins=True)
     edges = inst.optimal_edges
     ei = edges[:, 0]
     ej = edges[:, 1]
@@ -306,7 +313,10 @@ def _backward_from_cache(p: ModelParams, cache: dict, g_u: np.ndarray) -> dict:
 
 def loss_and_grads(p: ModelParams, f, c, inst, lambda_cs: float) -> tuple[float, dict]:
     """One fused forward + loss + backward evaluation."""
-    cache = _forward_cached(p, f, c)
+    return _loss_and_grads(p, _forward_cached(p, f, c), inst, lambda_cs)
+
+
+def _loss_and_grads(p: ModelParams, cache: dict, inst, lambda_cs: float) -> tuple[float, dict]:
     total, internals = loss(cache["u_hat"], inst, lambda_cs)
     g_u = _grad_u(internals, inst.u_star, lambda_cs)
     return total, _backward_from_cache(p, cache, g_u)
@@ -440,6 +450,7 @@ def train(
     shapes = [model.params[n].shape for n in names]
     opt = AdamW(names, shapes, cfg.lr, cfg.weight_decay)
     sched = PlateauScheduler(opt, cfg.scheduler_factor, cfg.scheduler_patience)
+    consts = [_cost_constants(inst.c.values, model.refine_k) for inst in dataset]
 
     log = []
     for epoch in range(cfg.epochs):
@@ -452,7 +463,8 @@ def train(
             batch_loss = 0.0
             for idx in chunk:
                 inst = dataset[int(idx)]
-                li, gi = loss_and_grads(model, inst.features, inst.c, inst, cfg.lambda_cs)
+                cache = _forward_cached(model, inst.features, inst.c, consts=consts[int(idx)])
+                li, gi = _loss_and_grads(model, cache, inst, cfg.lambda_cs)
                 batch_loss += li
                 for n in names:
                     acc[n] += gi[n]
@@ -464,7 +476,7 @@ def train(
         val_losses, val_maes, val_slacks = [], [], []
         for idx in val_idx:
             inst = dataset[int(idx)]
-            u_hat = forward(model, inst.features, inst.c)
+            u_hat = _forward_cached(model, inst.features, inst.c, False, consts[int(idx)])["u_hat"]
             total, internals = loss(u_hat, inst, cfg.lambda_cs)
             val_losses.append(total)
             val_maes.append(internals.mae)

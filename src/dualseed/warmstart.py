@@ -21,6 +21,7 @@ from .lap_core import (
     DualPotentials,
     SolveStats,
     column_minima,
+    equality_count,
     solve_cold,
     solve_seeded,
 )
@@ -243,7 +244,7 @@ def min_trick(c: CostMatrix, u_hat: np.ndarray) -> DualPotentials:
     tolerance needed.
     """
     u_hat = _row_potentials(u_hat, c.n)
-    v_hat, _, _ = column_minima(c.values, u_hat)
+    v_hat, _ = column_minima(c.values, u_hat)
     return DualPotentials(u_hat.copy(), v_hat)
 
 
@@ -254,7 +255,7 @@ def equality_density(c: CostMatrix, d: DualPotentials, eps: float) -> float:
     minimum is exactly 0, so rho counts the equality edges per row; this is
     the pipeline's gate.
     """
-    _, _, count = column_minima(c.values, d.u, d.v, eps=eps)
+    count = equality_count(c.values, d.u, d.v, eps)
     return float(count / c.n)
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from dualseed.bench import ALL_STRATEGIES
 from dualseed.cli import main
-from dualseed.datagen import read_dataset, read_matrix, write_matrix, gen_dense
+from dualseed.datagen import BlockParams, gen_block, gen_dense, read_dataset, read_matrix, write_matrix
+from dualseed.lap_core import solve_cold
 from dualseed.rowdualnet import init_model, load_checkpoint, save_checkpoint
 
 
@@ -105,13 +106,29 @@ def test_solve_prints_solver_counters_and_phases(tmp_path, capsys, strategy):
     assert code == 0
     lines = out.splitlines()
     fields = lines[1].split()
-    counters = dict(zip(fields[-8::2], map(int, fields[-7::2])))
-    assert list(counters) == ["greedy_matched", "dual_update_steps", "augment_searches", "scanned_columns"]
+    counters = dict(zip(fields[-10::2], map(int, fields[-9::2])))
+    assert list(counters) == ["greedy_matched", "dual_update_steps", "augment_searches",
+                              "equality_searches", "scanned_columns"]
     assert counters["augment_searches"] <= counters["scanned_columns"]
+    assert counters["equality_searches"] <= counters["augment_searches"]
     phases = [line.split(":")[0].strip() for line in lines if line.strip().startswith("solver.")]
     assert phases == ["solver.init", "solver.greedy", "solver.augment"]
     stages = [line.split(":")[0].strip() for line in lines[2:] if not line.strip().startswith("solver.")]
     assert stages == ([] if strategy == "cold" else ["features", "model", "min_trick", "fallback_check", "solver"])
+
+
+def test_solve_prints_equality_searches_on_tied_costs(tmp_path, capsys):
+    # block costs end every cold search at distance 0, on the equality graph
+    c = gen_block(BlockParams(n=64, seed=3))
+    mpath = str(tmp_path / "b.lapm")
+    write_matrix(mpath, c)
+    code, out, _ = run(capsys, "solve", mpath, "--strategy", "cold")
+    assert code == 0
+    fields = out.splitlines()[1].split()
+    counters = dict(zip(fields[::2], map(int, fields[1::2])))
+    stats = solve_cold(c)[2]
+    assert counters["equality_searches"] == stats.equality_searches > 0
+    assert counters["augment_searches"] == stats.augment_searches
 
 
 def test_train_activation_and_transpose_flags(tmp_path, capsys):

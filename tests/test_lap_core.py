@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualseed import lap_core
-from dualseed.datagen import BlockParams, gen_block, gen_dense
+from dualseed.datagen import BlockParams, gen_block, gen_dense, sparsify
 from dualseed.errors import InfeasibleSeed, NonFinite, NonSquare, ShapeMismatch, TooLarge
 from dualseed.lap_core import (
     EQ_TOL,
@@ -19,6 +19,7 @@ from dualseed.lap_core import (
     brute_force,
     center_duals,
     column_minima,
+    equality_count,
     reduced_costs,
     solve_cold,
     solve_seeded,
@@ -305,6 +306,16 @@ GOLDEN_COLD = {
                   "f5a9c7acd3853d3f2537b61345405dca40969918c4477375e840d36468dcd8a5"),
     "dense-1024": (636, 388, 388, 14572,
                    "b3ddd39ae904c84336248a7ffdddbea3b4c890f981bcda1934219f39d66d4756"),
+    # block-512 and levels3-64 resolve every search on the equality graph;
+    # block-1024 and levels3-256 are too dense for it and take the numpy search
+    "block-512": (93, 419, 0, 1105,
+                  "b06d054fd7f640a71562700f2d5a7b979d4f468712ad58b6eae550e05ff7b774"),
+    "block-1024": (118, 906, 0, 1241,
+                   "728e01c66b7846ffedf452ec373fefbb6ad1c84f7bf5907bc5bd4f672aed26a2"),
+    "levels3-64": (8, 56, 0, 56,
+                   "b5f950aac02f2e66969a20d709c7dbfa530108fbf58d929ae00ee7333ca9086f"),
+    "levels3-256": (11, 245, 0, 247,
+                    "c5985f839006449a768d293e1a6ad3c81b58e45918d494da11757ce231972668"),
 }
 GOLDEN_SEEDED = {
     "dense-128": (12, 116, 116, 4040,
@@ -315,9 +326,13 @@ GOLDEN_SEEDED = {
 
 
 def _golden_instance(name):
-    if name == "block-256":
-        return gen_block(BlockParams(n=256, seed=777))
-    return gen_dense(int(name.split("-")[1]), seed=777)
+    family, n = name.split("-")
+    if family == "block":
+        return gen_block(BlockParams(n=int(n), seed=777))
+    if family == "levels3":
+        rng = np.random.default_rng(777)
+        return CostMatrix.from_array(rng.integers(0, 3, size=(int(n), int(n))).astype(np.float64))
+    return gen_dense(int(n), seed=777)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COLD))
@@ -418,12 +433,12 @@ def test_column_minima_matches_whole_matrix(family, monkeypatch):
     for rows_per_block in (1, n // 3, n):
         monkeypatch.setattr(lap_core, "BLOCK_ENTRIES", rows_per_block * n)
         for shift, whole in ((None, d), (v, d - v)):
-            minima, rows, count = column_minima(values, u, shift, argmins=True, eps=0.25)
+            minima, rows = column_minima(values, u, shift, argmins=True)
             assert minima.tobytes() == whole.min(axis=0).tobytes()
             assert np.array_equal(rows, whole.argmin(axis=0))
-            assert count == np.count_nonzero(np.abs(whole) < 0.25)
             plain = column_minima(values, u, shift)
-            assert plain[0].tobytes() == minima.tobytes() and plain[1:] == (None, None)
+            assert plain[0].tobytes() == minima.tobytes() and plain[1] is None
+        assert equality_count(values, u, v, 0.25) == np.count_nonzero(np.abs(d - v) < 0.25)
 
 
 def test_search_ending_before_any_pop_still_moves_u():
@@ -438,18 +453,180 @@ def test_search_ending_before_any_pop_still_moves_u():
     assert verify_certificate(c, a, d)
 
 
-def test_solve_cold_builds_no_n_squared_temporary():
-    c = gen_dense(1024, seed=3)
+def _peak_solve_cold_memory(c):
     solve_cold(c)  # a first call allocates once-only state (lazy imports)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         solve_cold(c)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 0.1 * c.values.nbytes
 
+
+def test_solve_cold_builds_no_n_squared_temporary():
+    c = gen_dense(1024, seed=3)
+    assert _peak_solve_cold_memory(c) <= 0.1 * c.values.nbytes
+
+
+def test_block_cold_solve_builds_no_n_squared_temporary():
+    # the reduction transfer's pass and the (declined) equality graph
+    # build included
+    c = gen_block(BlockParams(n=1024, seed=3))
+    assert _peak_solve_cold_memory(c) <= 0.1 * c.values.nbytes
+
+
+# ------------------------------------ equality graph and one-pass transfer
+
+def _transfer_loop(values, u, v, row_to_col):
+    """Reference reduction transfer: one row at a time, in index order."""
+    if values.shape[0] == 1:
+        return
+    for i in range(values.shape[0]):
+        j1 = row_to_col[i]
+        if j1 < 0:
+            continue
+        slack = values[i] - v
+        slack[j1] = np.inf
+        mu = slack.min() - u[i]
+        v[j1] -= mu
+        u[i] += mu
+
+
+def _plain_solves(monkeypatch, c, seeds):
+    """Cold and seeded solves through the numpy search alone (a limit of 0
+    tight columns per row never builds the graph) and the loop transfer."""
+    with monkeypatch.context() as m:
+        m.setattr(lap_core, "EQUALITY_GRAPH_LIMIT", 0)
+        m.setattr(lap_core, "_reduction_transfer", _transfer_loop)
+        return [solve_cold(c)] + [solve_seeded(c, seed) for seed in seeds]
+
+
+def _tied_instance(family, n, rng):
+    if family == "block":
+        return gen_block(BlockParams(n=n, seed=int(rng.integers(2**31))))
+    if family == "levels":
+        return CostMatrix.from_array(rng.integers(0, 3, size=(n, n)).astype(np.float64))
+    if family == "signed-zero":
+        return CostMatrix.from_array(rng.choice(np.array([-0.0, 0.0, 1.0, 2.0]), size=(n, n)))
+    # the sentinel ties of masked edges on top of block ties
+    block = gen_block(BlockParams(n=n, seed=int(rng.integers(2**31))))
+    return sparsify(block, 0.5, seed=int(rng.integers(2**31)))
+
+
+@pytest.mark.parametrize("family", ["block", "levels", "signed-zero", "sparsified"])
+def test_equality_graph_matches_plain_search(family, monkeypatch):
+    rng = np.random.default_rng(53)
+    resolved = 0
+    for n in [*range(1, 41), 128, 256]:
+        c = _tied_instance(family, n, rng)
+        seeds = [min_trick(c, rng.integers(0, 2, n).astype(np.float64)),
+                 min_trick(c, rng.normal(0.0, 1.0, n))]
+        plain = _plain_solves(monkeypatch, c, seeds)
+        fast = [solve_cold(c)] + [solve_seeded(c, seed) for seed in seeds]
+        for p, f in zip(plain, fast):
+            assert _solve_digest(f) == _solve_digest(p), (family, n)
+            assert p[2].equality_searches == 0
+            assert f[2].equality_searches <= f[2].augment_searches
+        resolved += sum(f[2].equality_searches for f in fast)
+    assert resolved > 0
+
+
+def test_constant_matrix_is_too_dense_for_the_equality_graph(monkeypatch):
+    # every entry is tight: 64 tight columns per row exceed the limit, so
+    # the searches run on numpy; at n = 8 the graph is built and takes them
+    for n, on_graph in ((64, False), (8, True)):
+        c = CostMatrix.from_array(np.full((n, n), 1.5))
+        a, d, s = solve_cold(c)
+        assert _solve_digest((a, d, s)) == _solve_digest(_plain_solves(monkeypatch, c, [])[0])
+        assert s.augment_searches == n - 1
+        assert s.equality_searches == (n - 1 if on_graph else 0)
+
+
+# Zero seed, so the reduced costs are C. The harvest gives column 0 to row 0,
+# column 2 to row 2, column 3 to row 4 and column 5 to row 5, and leaves rows
+# 1, 3 and 6 free.
+HANDOVER = np.array([
+    [0.0, 0.0, 9.0, 9.0, 9.0, 9.0, 9.0],
+    [0.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0],
+    [9.0, 9.0, 0.0, 5.0, 5.0, 9.0, 9.0],
+    [9.0, 9.0, 0.0, 5.0, 5.0, 9.0, 9.0],
+    [9.0, 9.0, 5.0, 0.0, 5.0, 9.0, 9.0],
+    [9.0, 9.0, 9.0, 9.0, 9.0, 0.0, 0.0],
+    [9.0, 9.0, 9.0, 9.0, 9.0, 0.0, 9.0],
+])
+
+
+def test_closure_without_free_column_hands_over_to_numpy(monkeypatch):
+    # Row 1's search starts at distance 0 (column 0), builds the graph and
+    # ends on it at column 1 through row 0. Row 3's tight closure is column
+    # 2 alone, whose row 2 is tight nowhere else: no free column at distance
+    # 0, so the numpy search takes over and ends at column 4 at distance 5.
+    c = CostMatrix.from_array(HANDOVER[:5, :5])
+    seed = DualPotentials(np.zeros(5), np.zeros(5))
+    a, d, s = solve_seeded(c, seed)
+    assert _solve_digest((a, d, s)) == _solve_digest(_plain_solves(monkeypatch, c, [seed])[1])
+    assert (s.augment_searches, s.equality_searches, s.dual_update_steps, s.scanned_columns) == (2, 1, 1, 4)
+    assert list(a.row_to_col) == [1, 0, 2, 4, 3]
+    assert np.array_equal(d.u, [0.0, 0.0, 5.0, 5.0, 0.0])
+    assert np.array_equal(d.v, [0.0, 0.0, -5.0, 0.0, 0.0])
+    assert verify_certificate(c, a, d)
+
+
+def test_dual_move_drops_the_equality_graph(monkeypatch):
+    # As above, and row 3's search moves the duals. Row 6's search would end
+    # on the graph at distance 0 (column 5, then free column 6 through row
+    # 5), but the graph is gone, so the numpy search runs it.
+    c = CostMatrix.from_array(HANDOVER)
+    seed = DualPotentials(np.zeros(7), np.zeros(7))
+    a, d, s = solve_seeded(c, seed)
+    assert _solve_digest((a, d, s)) == _solve_digest(_plain_solves(monkeypatch, c, [seed])[1])
+    assert (s.augment_searches, s.equality_searches, s.dual_update_steps) == (3, 1, 1)
+    assert list(a.row_to_col) == [1, 0, 2, 4, 3, 6, 5]
+
+
+def test_rows_with_a_negative_entry_stay_off_the_equality_graph(monkeypatch):
+    # Zero seeds, reduced costs = C, feasible within FEAS_TOL. In the first
+    # matrix the one free row, 1, builds the graph, but the row owning its
+    # tight column 0 holds -1e-12: the numpy search pops column 2 at that
+    # distance too before ending at free column 1 (3 columns, not 2). In the
+    # second, free row 1 builds the graph and ends on it; free row 3 is tight
+    # in free column 3 but holds -1e-12 itself, so the numpy search pops
+    # column 4 first.
+    tiny = 1e-12
+    popped = [[0, 0, -tiny, 9], [0, 9, 9, 9], [9, 9, -2 * tiny, 9], [9, 9, 9, 0]]
+    free = [[0, 0, 9, 9, 9], [0, 9, 9, 9, 9], [9, 9, 0, 0, 9],
+            [9, 9, 9, 0, -tiny], [9, 9, 9, 9, -2 * tiny]]
+    for rows, counters in ((popped, (1, 0, 3)), (free, (2, 1, 4))):
+        c = CostMatrix.from_array(np.array(rows, dtype=np.float64))
+        seed = DualPotentials(np.zeros(c.n), np.zeros(c.n))
+        a, d, s = solve_seeded(c, seed)
+        assert _solve_digest((a, d, s)) == _solve_digest(_plain_solves(monkeypatch, c, [seed])[1])
+        assert (s.augment_searches, s.equality_searches, s.scanned_columns) == counters
+
+
+@pytest.mark.parametrize("family", ["levels", "block", "signed-zero", "arbitrary"])
+def test_one_pass_transfer_matches_row_loop(family, monkeypatch):
+    # cold starts (u = 0, v the column minima) and, for "arbitrary", duals
+    # with negative entries and -0.0 that force the exact recomputation
+    rng = np.random.default_rng(59)
+    pool = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    for n in range(1, 41):
+        monkeypatch.setattr(lap_core, "BLOCK_ENTRIES", n * int(rng.integers(1, 4)))
+        if family == "arbitrary":
+            values = rng.choice(pool, size=(n, n))
+            # without -0.0 in the duals on odd n, so only mu < 0 forces it
+            duals = pool if n % 2 == 0 else pool[pool != 0.0]
+            u, v = rng.choice(duals, size=n), rng.choice(duals, size=n)
+        else:
+            values = _tied_instance(family, n, rng).values
+            u, v = np.zeros(n), values.min(axis=0)
+        row_to_col = rng.permutation(n)
+        row_to_col[rng.random(n) < 0.4] = -1
+        u_ref, v_ref = u.copy(), v.copy()
+        _transfer_loop(values, u_ref, v_ref, row_to_col)
+        lap_core._reduction_transfer(values, u, v, row_to_col)
+        assert u.tobytes() == u_ref.tobytes() and v.tobytes() == v_ref.tobytes(), (family, n)
 
 # --------------------------------------------------------- verify_certificate
 
