@@ -1,12 +1,11 @@
 """Competing seed strategies: heuristics, a linear model, the coordinate-wise
-learned median, and a time-bounded subgradient-ascent dual initializer.
+learned median, and a fixed-step subgradient-ascent dual initializer.
 
 Every strategy emits raw row potentials; downstream callers restore
 feasibility with the columnwise-minimum completion, so any real vector is a
 safe output.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,48 +78,35 @@ def seed_learned_median(training_duals: np.ndarray) -> np.ndarray:
     return np.sort(duals, axis=0)[(m - 1) // 2]
 
 
-@dataclass
-class SubgradientConfig:
-    """Budgeted ascent on the reduced dual g(u) = sum(u) + sum_j min_i (C_ij - u_i)."""
-
-    time_budget_ns: int
-    step0: float | None = None  # default range(C)/10, resolved per matrix
-
-    def __post_init__(self):
-        if self.time_budget_ns < 0:
-            raise ValueError("time_budget_ns must be >= 0")
+SUBGRADIENT_STEPS = 5
 
 
 def dual_objective(values: np.ndarray, u: np.ndarray) -> float:
+    """The reduced dual g(u) = sum(u) + sum_j min_i (C_ij - u_i)."""
     return float(u.sum() + column_minima(values, u)[0].sum())
 
 
-def seed_subgradient(c: CostMatrix, cfg: SubgradientConfig) -> np.ndarray:
-    """Projected subgradient ascent from u0 = row minima, best iterate kept.
+def seed_subgradient(c: CostMatrix, steps: int = SUBGRADIENT_STEPS) -> np.ndarray:
+    """Subgradient ascent on g from u0 = row minima, best iterate kept.
 
-    Each iteration costs one columnwise argmin (O(n^2), comparable to one
-    model forward); the step is step0 / sqrt(t). Stops when the monotonic
-    clock exceeds the budget, returning the iterate with the best dual
-    objective seen (u0 itself when the budget is zero).
+    Each iterate costs one column_minima pass over C, which gives both g and
+    the column argmins; step t moves by range(C) / 10 / sqrt(t) times the
+    subgradient 1 - (columns each row attains). Returns the iterate with the
+    best dual objective seen after `steps` steps (u0 itself when steps is
+    0), the same on every machine.
     """
     values = c.values
     n = c.n
     u = values.min(axis=1).astype(np.float64)
-    step0 = cfg.step0
-    if step0 is None:
-        step0 = float(values.max() - values.min()) / 10.0 or 1.0
-    best_u = u.copy()
-    best_g = dual_objective(values, u)
-    start = time.monotonic_ns()
-    t = 0
-    while time.monotonic_ns() - start < cfg.time_budget_ns:
-        t += 1
-        _, rows = column_minima(values, u, argmins=True)
-        counts = np.bincount(rows, minlength=n)
-        grad = 1.0 - counts
-        u = u + (step0 / np.sqrt(t)) * grad
-        g = dual_objective(values, u)
+    step0 = float(values.max() - values.min()) / 10.0 or 1.0
+    minima, rows = column_minima(values, u, argmins=True)
+    best_u = u
+    best_g = float(u.sum() + minima.sum())
+    for t in range(1, steps + 1):
+        u = u + (step0 / np.sqrt(t)) * (1.0 - np.bincount(rows, minlength=n))
+        minima, rows = column_minima(values, u, argmins=True)
+        g = float(u.sum() + minima.sum())
         if g > best_g:
             best_g = g
-            best_u = u.copy()
+            best_u = u
     return best_u

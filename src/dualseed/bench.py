@@ -8,7 +8,7 @@ sweep (which seeds the solver directly) feed it their cells. summarize turns
 raw records into mean-of-ratios speedups with normal-approximation
 confidence intervals; breakdown_table splits wall time into the five
 pipeline stages. The sweeps vary seed noise, sparsity, the refinement width
-K, row permutations, and feature dimension.
+K, and row permutations.
 
 Timing protocol: one untimed warm-up run per (strategy, size) before the
 timed trials; all timed runs for one instance execute sequentially.
@@ -29,6 +29,7 @@ from .errors import DualseedError, InsufficientTrials
 from ._rng import STREAM_NOISE, STREAM_PERMUTATION, substream
 from .lap_core import CostMatrix, solve_cold, solve_seeded
 from .warmstart import (
+    FEATURE_DIM,
     STAGE_FALLBACK,
     STAGE_FEATURES,
     STAGE_MIN_TRICK,
@@ -38,7 +39,6 @@ from .warmstart import (
     PipelineConfig,
     PipelineReport,
     equality_density,
-    extract_features,
     min_trick,
     run_pipeline,
 )
@@ -51,9 +51,9 @@ class Strategy:
     make_predict(c, prep) -> predict(feats) -> row potentials.
 
     make_predict runs before the pipeline's timed stages. prep holds what was
-    prepared for the instance's size: "seed" and "model", plus "linreg",
-    "median" and "subgradient_cfg" once fitted. make_predict None marks the
-    cold solve, which runs no pipeline stage.
+    prepared for the instance's size: "seed" and "model", plus "linreg" and
+    "median" once fitted. make_predict None marks the cold solve, which runs
+    no pipeline stage.
     """
 
     needs_features: bool
@@ -82,11 +82,6 @@ def _median(c, prep):
     return lambda feats: u
 
 
-def _subgradient(c, prep):
-    cfg = _prepared(prep, "subgradient_cfg", "subgradient needs a time budget")
-    return lambda feats: baselines.seed_subgradient(c, cfg)
-
-
 def _oracle(c, prep):
     # Solver-vertex duals: their completion reproduces the seed exactly, so
     # the seeded solve performs zero dual updates.
@@ -102,7 +97,7 @@ STRATEGIES = {
     "random": Strategy(False, lambda c, prep: lambda feats: baselines.seed_random(c, prep["seed"])),
     "linreg": Strategy(True, _linreg),
     "median": Strategy(False, _median),
-    "subgradient": Strategy(False, _subgradient),
+    "subgradient": Strategy(False, lambda c, prep: lambda feats: baselines.seed_subgradient(c)),
     "optimal_oracle": Strategy(False, _oracle),
 }
 ALL_STRATEGIES = tuple(STRATEGIES)
@@ -161,7 +156,6 @@ SPEC_FIELDS = {
     "eps": (float, "pipeline"),
     "tau": (float, "pipeline"),
     "refine_k": (int, "pipeline"),
-    "feature_dim": (int, "pipeline"),
     "block_groups": (int, "spec"),
     "block_noise": (float, "spec"),
 }
@@ -260,13 +254,13 @@ def generate_instance(spec: ExperimentSpec, n: int, trial: int) -> CostMatrix:
     )
 
 
-def _corpus(spec: ExperimentSpec, n: int, count: int, cfg: PipelineConfig) -> list:
+def _corpus(spec: ExperimentSpec, n: int, count: int) -> list:
     """Labelled instances from streams PREP_STREAM_BASE on, so no corpus
     matrix is a benchmarked one; a file: generator gives its one matrix."""
     if spec.generator.startswith("file:"):
         count = 1
     return [
-        datagen.gen_labels(generate_instance(spec, n, PREP_STREAM_BASE + i), cfg)
+        datagen.gen_labels(generate_instance(spec, n, PREP_STREAM_BASE + i))
         for i in range(count)
     ]
 
@@ -288,44 +282,26 @@ def run_strategy(name: str, c: CostMatrix, prep: dict, cfg: PipelineConfig) -> t
     return run_pipeline(c, predict, cfg, needs_features=strategy.needs_features)
 
 
-def _measure_forward_ns(model, inst) -> int:
-    best = None
-    for _ in range(3):
-        t0 = time.perf_counter_ns()
-        rowdualnet.forward(model, inst.features, inst.c)
-        dt = time.perf_counter_ns() - t0
-        best = dt if best is None else min(best, dt)
-    return best
-
-
 def _load_model(spec: ExperimentSpec):
     if "neural" not in spec.strategies:
         return None
     if spec.checkpoint is None:
         raise ValueError("neural strategy requires a checkpoint path")
-    return rowdualnet.load_checkpoint(spec.checkpoint, expect_input_dim=spec.pipeline.feature_dim)
+    return rowdualnet.load_checkpoint(spec.checkpoint, expect_input_dim=FEATURE_DIM)
 
 
 def _prepare_size(spec: ExperimentSpec, n: int, model) -> dict:
     """Untimed per-size prep: the seed, the model and the fitted baselines."""
     prep = {"seed": spec.seed, "model": model}
-    fitted = {"linreg", "median", "subgradient"} & set(spec.strategies)
+    fitted = {"linreg", "median"} & set(spec.strategies)
     if fitted:
-        corpus = _corpus(spec, n, PREP_CORPUS_SIZE, spec.pipeline)
+        corpus = _corpus(spec, n, PREP_CORPUS_SIZE)
         if "linreg" in fitted:
             prep["linreg"] = baselines.train_linreg(corpus)
         if "median" in fitted:
             prep["median"] = baselines.seed_learned_median(
                 np.stack([inst.u_star for inst in corpus])
             )
-        if "subgradient" in fitted:
-            if model is not None:
-                budget = _measure_forward_ns(model, corpus[0])
-            else:
-                t0 = time.perf_counter_ns()
-                extract_features(corpus[0].c, spec.pipeline)
-                budget = time.perf_counter_ns() - t0
-            prep["subgradient_cfg"] = baselines.SubgradientConfig(time_budget_ns=budget)
     return prep
 
 
@@ -567,7 +543,7 @@ def sweep_noise(spec: ExperimentSpec, sigmas: list) -> list:
     for n in spec.sizes:
         for trial in range(spec.trials):
             c = generate_instance(spec, n, trial)
-            labels = datagen.gen_labels(c, spec.pipeline, center=False)
+            labels = datagen.gen_labels(c, center=False)
             insts.append((c, labels, trial))
     rows = []
     for k, sigma in enumerate(sorted(sigmas)):
@@ -648,33 +624,22 @@ def sweep_sparsity(spec: ExperimentSpec, fractions: list) -> list:
     return rows
 
 
-def _sweep_trained(spec: ExperimentSpec, axis_name: str, variants: list,
-                   train_instances: int, epochs: int) -> list:
-    """Per (axis value, pipeline config): train a fresh model on instances of
-    the first size, then benchmark it against cold on the grid."""
-    rows = []
-    for value, cfg in variants:
-        corpus = _corpus(spec, spec.sizes[0], train_instances, cfg)
-        tc = rowdualnet.TrainConfig(epochs=epochs, seed=spec.seed)
-        model, _ = rowdualnet.train(corpus, tc, refine_k=cfg.refine_k)
-        variant = dataclasses.replace(spec, strategies=("cold", "neural"), pipeline=cfg)
-        records = run_cells(variant, _grid_cells(variant, _prepare_sizes(variant, model)))
-        rows.extend(_axis_rows(axis_name, value, records))
-    return rows
-
-
 def sweep_topk(spec: ExperimentSpec, ks: list, train_instances: int = 50,
                epochs: int = 60) -> list:
-    """Train a fresh model per refinement width K and benchmark each."""
-    variants = [(k, dataclasses.replace(spec.pipeline, refine_k=k)) for k in ks]
-    return _sweep_trained(spec, "k", variants, train_instances, epochs)
-
-
-def sweep_features(spec: ExperimentSpec, dims: list, train_instances: int = 50,
-                   epochs: int = 60) -> list:
-    """Train a fresh model per feature dimension (4, 13, 21) and benchmark."""
-    variants = [(d, dataclasses.replace(spec.pipeline, feature_dim=d)) for d in dims]
-    return _sweep_trained(spec, "feature_dim", variants, train_instances, epochs)
+    """Per refinement width K: train a fresh model on instances of the first
+    size, then benchmark it against cold on the grid."""
+    corpus = _corpus(spec, spec.sizes[0], train_instances)
+    rows = []
+    for k in ks:
+        tc = rowdualnet.TrainConfig(epochs=epochs, seed=spec.seed)
+        model, _ = rowdualnet.train(corpus, tc, refine_k=k)
+        variant = dataclasses.replace(
+            spec, strategies=("cold", "neural"),
+            pipeline=dataclasses.replace(spec.pipeline, refine_k=k),
+        )
+        records = run_cells(variant, _grid_cells(variant, _prepare_sizes(variant, model)))
+        rows.extend(_axis_rows("k", k, records))
+    return rows
 
 
 def sweep_permutation(spec: ExperimentSpec, num_perms: int = 10) -> list:

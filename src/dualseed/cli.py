@@ -2,7 +2,7 @@
 
 Subcommands: gen (datasets/matrices), train, solve (one matrix, one
 strategy), bench (grid from a key=value config file), sweep
-{noise|sparsity|topk|perm|features}, report (summaries from saved records).
+{noise|sparsity|topk|perm}, report (summaries from saved records).
 """
 
 import argparse
@@ -11,14 +11,14 @@ import sys
 
 import numpy as np
 
-from . import baselines, bench, datagen, rowdualnet
+from . import bench, datagen, rowdualnet
 from .errors import DualseedError
-from .warmstart import PipelineConfig
+from .warmstart import FEATURE_DIM, PipelineConfig
 
 
 def _pipeline_from_args(args) -> PipelineConfig:
     kwargs = {}
-    for key in ("eps", "tau", "refine_k", "feature_dim"):
+    for key in ("eps", "tau", "refine_k"):
         value = getattr(args, key, None)
         if value is not None:
             kwargs[key] = value
@@ -30,8 +30,6 @@ def _add_pipeline_args(p: argparse.ArgumentParser):
     p.add_argument("--tau", type=float, default=None, help="fallback density threshold")
     p.add_argument("--refine-k", dest="refine_k", type=int, default=None,
                    help="refinement width K")
-    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=None,
-                   choices=(4, 13, 21), help="feature vector size")
 
 
 def cmd_gen(args) -> int:
@@ -47,9 +45,8 @@ def cmd_gen(args) -> int:
         datagen.write_matrix(args.out, c)
         print(f"wrote {args.out}: n={c.n} generator={args.generator}")
         return 0
-    cfg = _pipeline_from_args(args)
     instances = [
-        datagen.gen_labels(instance(i), cfg, center_sweeps=args.center_sweeps)
+        datagen.gen_labels(instance(i), center_sweeps=args.center_sweeps)
         for i in range(args.count)
     ]
     datagen.write_dataset(args.out, instances)
@@ -59,9 +56,9 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _pipeline_from_args(args)
-    dataset = datagen.read_dataset(args.dataset, cfg)
+    dataset = datagen.read_dataset(args.dataset)
     if args.augment_transpose:
-        dataset = dataset + [datagen.transpose_instance(inst, cfg) for inst in dataset]
+        dataset = dataset + [datagen.transpose_instance(inst) for inst in dataset]
     tc = rowdualnet.TrainConfig(
         lr=args.lr, weight_decay=args.weight_decay, lambda_cs=args.lambda_cs,
         batch=args.batch, epochs=args.epochs, seed=args.seed,
@@ -87,12 +84,9 @@ def cmd_train(args) -> int:
 def cmd_solve(args) -> int:
     c = datagen.read_csv(args.matrix) if args.matrix.endswith(".csv") else datagen.read_matrix(args.matrix)
     cfg = _pipeline_from_args(args)
-    prep = {
-        "seed": args.seed,
-        "subgradient_cfg": baselines.SubgradientConfig(time_budget_ns=args.subgradient_budget_ns),
-    }
+    prep = {"seed": args.seed}
     if args.checkpoint is not None:
-        prep["model"] = rowdualnet.load_checkpoint(args.checkpoint, expect_input_dim=cfg.feature_dim)
+        prep["model"] = rowdualnet.load_checkpoint(args.checkpoint, expect_input_dim=FEATURE_DIM)
     assignment, report = bench.run_strategy(args.strategy, c, prep, cfg)
     stats = report.solve_stats
     counters = " ".join(f"{name} {getattr(stats, name)}" for name in (
@@ -141,14 +135,9 @@ def cmd_sweep(args) -> int:
         rows = bench.sweep_topk(spec, ks, train_instances=args.train_instances,
                                 epochs=args.epochs)
         text = bench.axis_csv("k", rows)
-    elif args.axis == "perm":
+    else:  # perm
         rows = bench.sweep_permutation(spec, num_perms=args.num_perms)
         text = bench.permutation_csv(rows)
-    else:  # features
-        dims = [int(x) for x in args.values.split(",")] if args.values else [4, 13, 21]
-        rows = bench.sweep_features(spec, dims, train_instances=args.train_instances,
-                                    epochs=args.epochs)
-        text = bench.axis_csv("feature_dim", rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -188,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-noise", dest="block_noise", type=float, default=None)
     p.add_argument("--center-sweeps", dest="center_sweeps", type=int, default=3,
                    help="label-centering sweeps (dataset only)")
-    _add_pipeline_args(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train the row-potential model")
@@ -213,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="cold", choices=bench.ALL_STRATEGIES)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subgradient-budget-ns", dest="subgradient_budget_ns",
-                   type=int, default=1_000_000)
     p.add_argument("--out", default=None, help="write the assignment here")
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_solve)
@@ -226,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="sensitivity sweeps")
-    p.add_argument("axis", choices=("noise", "sparsity", "topk", "perm", "features"))
+    p.add_argument("axis", choices=("noise", "sparsity", "topk", "perm"))
     p.add_argument("config", help="key=value spec file")
     p.add_argument("--values", default=None, help="comma-separated axis values")
     p.add_argument("--num-perms", dest="num_perms", type=int, default=10)

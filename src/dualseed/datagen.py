@@ -28,7 +28,7 @@ from .errors import (
 )
 from ._rng import STREAM_BLOCK, STREAM_DENSE, STREAM_SPARSIFY, substream
 from .lap_core import CostMatrix, center_duals, reduced_costs, solve_cold
-from .warmstart import FeatureMatrix, PipelineConfig, extract_features
+from .warmstart import FeatureMatrix, extract_features
 
 MATRIX_MAGIC = b"LAPM"
 DATASET_MAGIC = b"LAPD"
@@ -161,12 +161,7 @@ class LabeledInstance:
     optimal_edges: np.ndarray  # (n, 2) int64 rows (i, sigma*(i))
 
 
-def gen_labels(
-    c: CostMatrix,
-    cfg: PipelineConfig | None = None,
-    center: bool = True,
-    center_sweeps: int = 3,
-) -> LabeledInstance:
+def gen_labels(c: CostMatrix, center: bool = True, center_sweeps: int = 3) -> LabeledInstance:
     """Solve exactly and package gauge-fixed dual labels with features.
 
     With center=True the row potentials are moved to the midpoints of their
@@ -175,8 +170,6 @@ def gen_labels(
     push them deeper into the interior. The gauge shift u <- u - mean(u),
     v <- v + mean(u) leaves all reduced costs unchanged.
     """
-    if cfg is None:
-        cfg = PipelineConfig()
     assignment, duals, _ = solve_cold(c)
     if center:
         duals = center_duals(c, assignment, duals, sweeps=center_sweeps)
@@ -188,25 +181,23 @@ def gen_labels(
     r = reduced_costs(c.values, u_star, v_star)
     if r.min() < -1e-9 or np.abs(r[edges[:, 0], edges[:, 1]]).max() > 1e-9:
         raise DualseedError("label generation produced infeasible or slack duals")
-    features = extract_features(c, cfg) if c.n >= 2 else FeatureMatrix(c.n, 0, np.zeros((c.n, 0)))
-    return LabeledInstance(c, features, u_star, v_star, edges)
+    return LabeledInstance(c, _features(c), u_star, v_star, edges)
 
 
-def transpose_instance(
-    inst: LabeledInstance, cfg: PipelineConfig | None = None
-) -> LabeledInstance:
+def _features(c: CostMatrix) -> FeatureMatrix:
+    """extract_features, or no columns for a 1 x 1 instance."""
+    return extract_features(c) if c.n >= 2 else FeatureMatrix(c.n, 0, np.zeros((c.n, 0)))
+
+
+def transpose_instance(inst: LabeledInstance) -> LabeledInstance:
     """The same labeled problem viewed from the column side.
 
     Transposing the cost matrix swaps the two sides of the matching: the
     optimal column potentials become optimal row potentials of the transpose
     (re-centered to the zero-mean gauge), the assignment inverts, and every
     reduced cost transposes with it. This doubles a training corpus without
-    generating or solving any new instance. cfg must match the feature
-    settings the original instance was built with; by default only the
-    feature dimension is inferred from it.
+    generating or solving any new instance.
     """
-    if cfg is None:
-        cfg = PipelineConfig(feature_dim=inst.features.d)
     n = inst.c.n
     c_t = CostMatrix(np.ascontiguousarray(inst.c.values.T), inst.c.sentinel)
     inverse = np.empty(n, dtype=np.int64)
@@ -215,7 +206,7 @@ def transpose_instance(
     shift = inst.v_star.mean()
     return LabeledInstance(
         c=c_t,
-        features=extract_features(c_t, cfg),
+        features=extract_features(c_t),
         u_star=inst.v_star - shift,
         v_star=inst.u_star + shift,
         optimal_edges=edges,
@@ -288,12 +279,8 @@ def write_dataset(path: str, dataset: list, aux: dict | None = None):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read_dataset(
-    path: str, cfg: PipelineConfig | None = None, return_aux: bool = False
-):
+def read_dataset(path: str, return_aux: bool = False):
     """Read a labeled corpus, recomputing features deterministically."""
-    if cfg is None:
-        cfg = PipelineConfig()
     with open(path, "rb") as fh:
         data = fh.read()
     head_len = 4 + struct.calcsize("<BI")
@@ -319,8 +306,7 @@ def read_dataset(
         cols = np.frombuffer(data, dtype="<u4", count=n, offset=offset).astype(np.int64)
         offset += n * 4
         edges = np.stack([np.arange(n, dtype=np.int64), cols], axis=1)
-        features = extract_features(c, cfg) if n >= 2 else FeatureMatrix(n, 0, np.zeros((n, 0)))
-        out.append(LabeledInstance(c, features, u_star, v_star, edges))
+        out.append(LabeledInstance(c, _features(c), u_star, v_star, edges))
 
     aux = {}
     if len(data) >= offset + 4:

@@ -38,12 +38,13 @@ floating point, not merely up to rounding, and an entry of (C - u) - v is zero
 exactly where C_ij - u_i attains its column's minimum.
 
 Every pass that completes row potentials goes through one kernel,
-column_minima: the column minima of C - u or of (C - u) - v, on request with
-the lowest row attaining each minimum. It reads C in row blocks through one
-reused buffer, so no pass builds an n x n temporary, and its outputs are
-bit-identical to whole-matrix numpy reductions. solve_cold takes its column
-argmins from it, solve_seeded its feasibility check and harvest rows, and
-warmstart its completion (min_trick). The density gate (equality_density)
+column_minima: the column minima of C, of C - u or of (C - u) - v, on request
+with the lowest row attaining each minimum. It reads C in row blocks (through
+one reused buffer when it subtracts), so no pass builds an n x n temporary,
+and its outputs are bit-identical to whole-matrix numpy reductions.
+solve_cold takes its column argmins from it, solve_seeded its feasibility
+check and harvest rows, and warmstart its completion (min_trick) and its
+is_col_best feature. The density gate (equality_density)
 counts near-zero entries through the same blocks (equality_count), and the
 equality graph is built from them; the reduction transfer reads the
 assigned rows in blocks of the same size.
@@ -183,12 +184,17 @@ def reduced_costs(values: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     return (values - u[:, None]) - v[None, :]
 
 
-def _row_blocks(values: np.ndarray, u: np.ndarray, v: np.ndarray | None):
+def _row_blocks(values: np.ndarray, u: np.ndarray | None, v: np.ndarray | None):
     """Yield (lo, block): rows lo, lo + 1, ... of C - u, or of (C - u) - v,
     in blocks of about BLOCK_ENTRIES entries written into one reused buffer
-    (so a block is valid until the next one is yielded)."""
+    (so a block is valid until the next one is yielded). With u None (and no
+    v) the blocks are views of C itself, which the caller must not write."""
     n_rows, n = values.shape
     step = max(1, BLOCK_ENTRIES // n)
+    if u is None:
+        for lo in range(0, n_rows, step):
+            yield lo, values[lo : lo + step]
+        return
     buf = np.empty((min(step, n_rows), n))
     for lo in range(0, n_rows, step):
         block = buf[: min(step, n_rows - lo)]
@@ -198,10 +204,12 @@ def _row_blocks(values: np.ndarray, u: np.ndarray, v: np.ndarray | None):
         yield lo, block
 
 
-def column_minima(values: np.ndarray, u: np.ndarray, v: np.ndarray | None = None,
+def column_minima(values: np.ndarray, u: np.ndarray | None, v: np.ndarray | None = None,
                   argmins: bool = False):
     """Column minima of C - u, or of (C - u) - v when v is given, in one pass.
 
+    u None stands for u = 0 and reads C with no subtraction, which gives the
+    same bits, since x - 0.0 == x for every finite x (-0.0 included).
     Returns (minima, rows): rows[j] is the lowest row attaining column j's
     minimum if `argmins` is set, None otherwise.
 
@@ -609,7 +617,7 @@ def solve_cold(c: CostMatrix) -> tuple[Assignment, DualPotentials, SolveStats]:
     t0 = time.perf_counter_ns()
     u = np.zeros(n, dtype=np.float64)
     t1 = time.perf_counter_ns()
-    _, argmins = column_minima(values, u, argmins=True)
+    _, argmins = column_minima(values, None, argmins=True)
     v = values[argmins, np.arange(n)]
     return _solve_from(values, u, v, argmins, True, t0, t1)
 

@@ -37,7 +37,8 @@ LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"RDN1"
 # 2: head output and refinement input are in units of _cost_scale; weights
 # trained under version 1 (absolute cost units) mean something else.
-CHECKPOINT_VERSION = 2
+# 3: the input is warmstart's 10 row features; version 2 read 21 columns.
+CHECKPOINT_VERSION = 3
 
 # From an ablation over H in {32, 64, 128, 192} x {1, 2, 3} blocks (see
 # CHANGES.md): at H = 64 with one block the model runs 9x and trains 13x

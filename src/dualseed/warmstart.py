@@ -26,11 +26,6 @@ from .lap_core import (
     solve_seeded,
 )
 
-FEATURE_DIM = 21
-NON_POSITIONAL = 13
-REDUCED_DIMS = (4, 13, 21)
-PE_FREQS = (1.0, 2.0, 4.0, 8.0)
-
 STAGE_FEATURES = "features"
 STAGE_MODEL = "model"
 STAGE_MIN_TRICK = "min_trick"
@@ -42,38 +37,33 @@ FEATURE_NAMES = (
     "row_min", "row_max", "row_mean", "row_std",
     "entropy", "difficulty",
     "near_best", "is_col_best",
-    "k_mean", "k_std", "rank_mean", "rank_std", "norm_rank",
-    "pe_0", "pe_1", "pe_2", "pe_3", "pe_4", "pe_5", "pe_6", "pe_7",
+    "k_mean", "k_std",
 )
+FEATURE_DIM = len(FEATURE_NAMES)
+FEATURE_K = 10  # k_mean and k_std summarise each row's FEATURE_K smallest costs
 _ROW_STAT_COLS = [FEATURE_NAMES.index(name) for name in (
     "row_min", "row_max", "row_mean", "row_std",
     "entropy", "difficulty", "near_best",
     "k_mean", "k_std",
 )]
-_COLUMN_STAT_COLS = [FEATURE_NAMES.index(name) for name in (
-    "is_col_best", "rank_mean", "rank_std", "norm_rank",
-)]
+_IS_COL_BEST = FEATURE_NAMES.index("is_col_best")
 
 
 @dataclass
 class PipelineConfig:
-    """Tolerances and dimensions shared across the pipeline."""
+    """Tolerances shared across the pipeline."""
 
     eps: float = 1e-5
     tau: float = 1.2
     refine_k: int = 16
-    feature_k: int = 10
-    feature_dim: int = FEATURE_DIM
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
-        if self.refine_k < 1 or self.feature_k < 1:
-            raise ValueError("refine_k and feature_k must be >= 1")
-        if self.feature_dim not in REDUCED_DIMS:
-            raise ValueError(f"feature_dim must be one of {REDUCED_DIMS}")
+        if self.refine_k < 1:
+            raise ValueError("refine_k must be >= 1")
 
 
 @dataclass
@@ -99,44 +89,37 @@ class PipelineReport:
     total_cost: float = 0.0
 
 
-def extract_features(c: CostMatrix, cfg: PipelineConfig, normalize: bool = True) -> FeatureMatrix:
-    """Build the n x d feature matrix for cost matrix rows.
+def extract_features(c: CostMatrix, normalize: bool = True) -> FeatureMatrix:
+    """Build the n x FEATURE_DIM feature matrix for cost matrix rows.
 
-    Row-distribution statistics are computed from each row sorted ascending
-    and count statistics from exact integer tallies, so permuting the columns
-    of C reproduces every feature bit for bit. The 13 cost-derived features
-    are z-scored per instance (std floored at 1e-8); the 8 positional
-    encodings pass through raw. `normalize=False` returns the raw values,
+    Row-distribution statistics are computed from each row sorted ascending,
+    and is_col_best is the share of columns whose lowest minimising row is
+    this one, from one column_minima pass, so permuting the columns of C
+    reproduces every feature bit for bit. Every feature is z-scored per
+    instance (std floored at 1e-8); `normalize=False` returns the raw values,
     which is what the documented per-feature formulas describe.
     """
     values = c.values
     n = c.n
     if n < 2:
         raise ShapeMismatch("feature extraction requires n >= 2")
-    k = min(cfg.feature_k, n)
+    k = min(FEATURE_K, n)
 
-    # Every statistic is a per-row reduction or an exact integer tally, so
-    # passes over blocks of rows (and of columns) give the same bits as
-    # whole-matrix passes while each block's temporaries stay in cache.
+    # Every row statistic is a per-row reduction, so passes over blocks of
+    # rows give the same bits as whole-matrix passes while each block's
+    # temporaries stay in cache.
     step = max(1, BLOCK_ENTRIES // n)
     feats = np.empty((n, FEATURE_DIM), dtype=np.float64)
     for lo in range(0, n, step):
         feats[lo : lo + step, _ROW_STAT_COLS] = _row_statistics(values[lo : lo + step], k)
-    feats[:, _COLUMN_STAT_COLS] = _column_statistics(values, step)
-
-    idx = np.arange(n, dtype=np.float64) / n
-    for m, f in enumerate(PE_FREQS):
-        feats[:, NON_POSITIONAL + 2 * m] = np.sin(2.0 * np.pi * f * idx)
-        feats[:, NON_POSITIONAL + 2 * m + 1] = np.cos(2.0 * np.pi * f * idx)
+    _, col_best = column_minima(values, None, argmins=True)
+    feats[:, _IS_COL_BEST] = np.bincount(col_best, minlength=n) / n
 
     if normalize:
-        block = feats[:, :NON_POSITIONAL]
-        mu = block.mean(axis=0)
-        sd = np.maximum(block.std(axis=0), 1e-8)
-        feats[:, :NON_POSITIONAL] = (block - mu) / sd
-
-    d = cfg.feature_dim
-    return FeatureMatrix(n=n, d=d, values=np.ascontiguousarray(feats[:, :d]))
+        mu = feats.mean(axis=0)
+        sd = np.maximum(feats.std(axis=0), 1e-8)
+        feats = (feats - mu) / sd
+    return FeatureMatrix(n=n, d=FEATURE_DIM, values=feats)
 
 
 def _row_statistics(rows: np.ndarray, k: int) -> np.ndarray:
@@ -167,62 +150,6 @@ def _row_statistics(rows: np.ndarray, k: int) -> np.ndarray:
         entropy, difficulty, near_best,
         k_mean, k_std,
     ])
-
-
-def _column_statistics(values: np.ndarray, step: int) -> np.ndarray:
-    """Raw features _COLUMN_STAT_COLS, from ranks within columns.
-
-    The rank of C_ij is its 0-based position within column j, ties to the
-    lower row index. Rank sums and sums of squares are accumulated in float64
-    over blocks of `step` columns; every partial sum is an integer below
-    2**53, so the sums are exact and column permutations cancel bit for bit.
-    """
-    n = values.shape[0]
-    col_best = np.zeros(n, dtype=np.int64)
-    rank_sum = np.zeros(n)
-    rank_sumsq = np.zeros(n)
-    ranks = np.arange(n, dtype=np.float64)
-    for lo in range(0, values.shape[1], step):
-        order = _column_order(values[:, lo : lo + step])
-        col_best += np.bincount(order[:, 0], minlength=n)
-        rows = order.ravel()
-        r = np.tile(ranks, order.shape[0])
-        rank_sum += np.bincount(rows, weights=r, minlength=n)
-        rank_sumsq += np.bincount(rows, weights=r * r, minlength=n)
-    rank_mean_raw = rank_sum / n
-    rank_var = rank_sumsq / n - rank_mean_raw**2
-    rank_std = np.sqrt(np.maximum(rank_var, 0.0))
-    rank_mean = rank_mean_raw / (n - 1)
-    norm_rank = 1.0 - rank_mean
-    return np.column_stack([col_best / n, rank_mean, rank_std, norm_rank])
-
-
-def _column_order(values: np.ndarray) -> np.ndarray:
-    """Row indices of each column sorted ascending, one column per row.
-
-    Equals np.argsort(values, axis=0, kind="stable").T. The sort runs on a
-    contiguous transposed copy with the default (unstable) algorithm, which
-    can only disagree with the stable one inside runs of equal values. In
-    each column that has such a run, the rows are put in order by one
-    integer sort of the keys run * n + row, where run counts the value
-    changes before each position of the sorted column: runs keep their
-    places and each run's rows come out ascending, which is the stable
-    order. Tie-free columns keep the first sort.
-    """
-    n = values.shape[0]
-    vt = np.ascontiguousarray(values.T)
-    order = np.argsort(vt, axis=1)
-    ranked = np.take_along_axis(vt, order, axis=1)
-    steps = ranked[:, 1:] != ranked[:, :-1]
-    tied = ~steps.all(axis=1)
-    if tied.any():
-        run = np.zeros((np.count_nonzero(tied), n), dtype=np.int64)
-        np.cumsum(steps[tied], axis=1, out=run[:, 1:])
-        run *= n
-        keys = run + order[tied]
-        keys.sort(axis=1)
-        order[tied] = keys - run
-    return order
 
 
 def _row_potentials(u_hat, n: int) -> np.ndarray:
@@ -268,10 +195,8 @@ def warm_solve(c: CostMatrix, model, cfg: PipelineConfig) -> tuple[Assignment, P
     """
     from .rowdualnet import forward
 
-    if model.input_dim != cfg.feature_dim:
-        raise ShapeMismatch(
-            f"model expects d={model.input_dim}, config says d={cfg.feature_dim}"
-        )
+    if model.input_dim != FEATURE_DIM:
+        raise ShapeMismatch(f"model expects d={model.input_dim}, features have d={FEATURE_DIM}")
 
     def predict(feats: FeatureMatrix) -> np.ndarray:
         return forward(model, feats, c)
@@ -297,7 +222,7 @@ def run_pipeline(
     report = PipelineReport()
 
     t0 = time.perf_counter_ns()
-    feats = extract_features(c, cfg) if needs_features else None
+    feats = extract_features(c) if needs_features else None
     t1 = time.perf_counter_ns()
     u_hat = _row_potentials(predict(feats), n)
     t2 = time.perf_counter_ns()

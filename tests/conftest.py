@@ -15,7 +15,7 @@ import numpy as np
 
 from dualseed import datagen, rowdualnet as rdn
 from dualseed.lap_core import center_duals, solve_cold
-from dualseed.warmstart import PipelineConfig, extract_features
+from dualseed.warmstart import extract_features
 
 import pytest
 
@@ -56,7 +56,6 @@ def pytest_terminal_summary(terminalreporter):
 
 def labeled_instance(c, sweeps: int = LABEL_CENTER_SWEEPS) -> datagen.LabeledInstance:
     """Optimal gauge-fixed duals (interior-centered) plus features for c."""
-    cfg = PipelineConfig()
     assignment, duals, _ = solve_cold(c)
     centered = center_duals(c, assignment, duals, sweeps=sweeps)
     shift = centered.u.mean()
@@ -65,7 +64,7 @@ def labeled_instance(c, sweeps: int = LABEL_CENTER_SWEEPS) -> datagen.LabeledIns
     ).astype(np.int64)
     return datagen.LabeledInstance(
         c=c,
-        features=extract_features(c, cfg),
+        features=extract_features(c),
         u_star=centered.u - shift,
         v_star=centered.v + shift,
         optimal_edges=edges,

@@ -25,6 +25,7 @@ from dualseed.lap_core import (
 )
 from dualseed._rng import substream
 from dualseed.warmstart import (
+    FEATURE_DIM,
     PipelineConfig,
     equality_density,
     extract_features,
@@ -134,7 +135,6 @@ def test_criterion_04_oracle_and_model_match_rates(gate_model):
     trained model beats the cold match rate on >=80% of instances. The free
     row-min seed's match rate is reported beside it, not gated."""
     model, _ = gate_model
-    cfg = PipelineConfig()
     oracle_rates, cold_rates, model_rates, row_min_rates = [], [], [], []
     for idx in range(20):
         c = datagen.gen_dense(512, seed=HELDOUT_SEED + 512, stream_index=idx)
@@ -146,7 +146,7 @@ def test_criterion_04_oracle_and_model_match_rates(gate_model):
         _, _, stats = solve_seeded(c, oracle_seed)
         oracle_rates.append(stats.greedy_matched / 512)
 
-        u_hat = rdn.forward(model, extract_features(c, cfg), c)
+        u_hat = rdn.forward(model, extract_features(c), c)
         _, _, stats = solve_seeded(c, min_trick(c, u_hat))
         model_rates.append(stats.greedy_matched / 512)
 
@@ -207,11 +207,10 @@ def test_criterion_06_gradient_check():
     worst = 0.0
     worst_abs = 0.0  # over every entry, the skipped ones too
     skipped = total = 0
-    cfg = PipelineConfig()
     for seed in range(5):
         c = datagen.gen_dense(6, seed=RNG_BASE + 6, stream_index=seed)
         inst = labeled_instance(c)
-        model = rdn.init_model(21, hidden_dim=8, refine_k=3, seed=seed,
+        model = rdn.init_model(FEATURE_DIM, hidden_dim=8, refine_k=3, seed=seed,
                                activation=GATE_ACTIVATION)
         _, grads = rdn.loss_and_grads(model, inst.features, inst.c, inst, 0.1)
 
@@ -336,7 +335,7 @@ def test_criterion_09_random_seed_is_no_better(gate_model):
     random_fallbacks, row_mean_fallbacks = 0, 0
     for idx in range(20):
         c = datagen.gen_dense(256, seed=HELDOUT_SEED + 256, stream_index=idx)
-        u_hat = rdn.forward(model, extract_features(c, cfg), c)
+        u_hat = rdn.forward(model, extract_features(c), c)
         _, _, stats = solve_seeded(c, min_trick(c, u_hat))
         neural_steps.append(_steps(stats))
 

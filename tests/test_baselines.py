@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dualseed.baselines import (
+    SUBGRADIENT_STEPS,
     LinregWeights,
-    SubgradientConfig,
     dual_objective,
     seed_learned_median,
     seed_linreg,
@@ -20,7 +20,7 @@ from dualseed.baselines import (
 from dualseed.datagen import LabeledInstance, gen_dense, gen_labels
 from dualseed.errors import ShapeMismatch, SingularSystem
 from dualseed.lap_core import CostMatrix, solve_cold, solve_seeded
-from dualseed.warmstart import PipelineConfig, equality_density, min_trick
+from dualseed.warmstart import FEATURE_DIM, PipelineConfig, equality_density, min_trick
 
 
 # ----------------------------------------------------------------- row mean
@@ -88,7 +88,7 @@ def _affine_dataset(w, b, m=8, n=12, seed=41):
 
 def test_linreg_recovers_affine_labels():
     rng = np.random.default_rng(42)
-    w = rng.normal(0.0, 1.0, 21)
+    w = rng.normal(0.0, 1.0, FEATURE_DIM)
     b = 0.37
     dataset = _affine_dataset(w, b)
     weights = train_linreg(dataset)
@@ -103,7 +103,7 @@ def test_linreg_recovers_affine_labels():
 
 def test_linreg_zero_weights_predict_bias():
     inst = gen_labels(gen_dense(7, seed=43))
-    weights = LinregWeights(w=np.zeros(21), b=3.3)
+    weights = LinregWeights(w=np.zeros(FEATURE_DIM), b=3.3)
     assert np.array_equal(seed_linreg(inst.features, weights), np.full(7, 3.3))
 
 
@@ -112,11 +112,11 @@ def test_linreg_prediction_shape_and_dim_check():
     weights = train_linreg([inst])
     assert seed_linreg(inst.features, weights).shape == (9,)
     with pytest.raises(ShapeMismatch):
-        seed_linreg(inst.features.values[:, :13], weights)
+        seed_linreg(inst.features.values[:, :-3], weights)
 
 
 def test_linreg_singular_without_ridge():
-    # 3 pooled samples cannot determine 22 coefficients: the normal
+    # 3 pooled samples cannot determine 11 coefficients: the normal
     # equations are singular once the ridge is disabled.
     inst = gen_labels(gen_dense(3, seed=45))
     with pytest.raises(SingularSystem):
@@ -164,7 +164,7 @@ def test_median_rejects_bad_shape():
 
 def test_subgradient_zero_budget_returns_row_minima():
     c = gen_dense(10, seed=47)
-    u = seed_subgradient(c, SubgradientConfig(time_budget_ns=0))
+    u = seed_subgradient(c, steps=0)
     assert np.array_equal(u, c.values.min(axis=1))
 
 
@@ -173,7 +173,7 @@ def test_subgradient_zero_matrix_keeps_origin():
     # [-1, 1], and any step strictly lowers g; the best-seen iterate must
     # therefore remain the all-zero start.
     c = CostMatrix.from_array(np.zeros((2, 2)))
-    u = seed_subgradient(c, SubgradientConfig(time_budget_ns=2_000_000))
+    u = seed_subgradient(c, steps=200)
     assert np.array_equal(u, np.zeros(2))
 
 
@@ -182,7 +182,7 @@ def test_subgradient_improves_and_respects_weak_duality():
     u0 = c.values.min(axis=1)
     g0 = dual_objective(c.values, u0)
     optimal = solve_cold(c)[0].total_cost
-    u = seed_subgradient(c, SubgradientConfig(time_budget_ns=50_000_000))
+    u = seed_subgradient(c, steps=3000)
     g = dual_objective(c.values, u)
     assert g > g0 + 0.01
     assert g <= optimal + 1e-9
@@ -192,19 +192,36 @@ def test_subgradient_best_iterate_never_below_start():
     for trial in range(5):
         c = gen_dense(12, seed=48, stream_index=trial)
         g0 = dual_objective(c.values, c.values.min(axis=1))
-        u = seed_subgradient(c, SubgradientConfig(time_budget_ns=1_000_000))
+        u = seed_subgradient(c, steps=50)
         assert dual_objective(c.values, u) >= g0
+
+
+def _subgradient_reference(c, steps):
+    """The ascent written plainly: g and the argmins from separate passes."""
+    values = c.values
+    u = values.min(axis=1)
+    step0 = float(values.max() - values.min()) / 10.0 or 1.0
+    best_u, best_g = u, dual_objective(values, u)
+    for t in range(1, steps + 1):
+        rows = (values - u[:, None]).argmin(axis=0)
+        u = u + (step0 / np.sqrt(t)) * (1.0 - np.bincount(rows, minlength=c.n))
+        if dual_objective(values, u) > best_g:
+            best_u, best_g = u, dual_objective(values, u)
+    return best_u
+
+
+def test_subgradient_is_deterministic():
+    c = gen_dense(24, seed=46)
+    u = seed_subgradient(c)
+    assert u.tobytes() == seed_subgradient(c).tobytes()
+    assert u.tobytes() == _subgradient_reference(c, SUBGRADIENT_STEPS).tobytes()
+    assert seed_subgradient(c, 40).tobytes() == _subgradient_reference(c, 40).tobytes()
 
 
 def test_subgradient_optimal_duals_attain_primal_cost():
     c = gen_dense(14, seed=49)
     a, duals, _ = solve_cold(c)
     assert dual_objective(c.values, duals.u) == pytest.approx(a.total_cost, abs=1e-9)
-
-
-def test_subgradient_config_validation():
-    with pytest.raises(ValueError):
-        SubgradientConfig(time_budget_ns=-1)
 
 
 # ----------------------------------------------------------- universal safety
@@ -222,7 +239,7 @@ def test_every_baseline_yields_exact_optimum():
             "random": seed_random(c, seed=trial),
             "linreg": seed_linreg(inst.features, weights),
             "median": seed_learned_median(inst.u_star[None, :]),
-            "subgradient": seed_subgradient(c, SubgradientConfig(time_budget_ns=100_000)),
+            "subgradient": seed_subgradient(c),
         }
         for name, u_hat in seeds.items():
             assignment, duals, stats = solve_seeded(c, min_trick(c, u_hat))

@@ -41,7 +41,7 @@ def test_parse_spec_roundtrip():
     seed = 9
     tau = 1.5
     eps = 0.001
-    feature_dim = 13
+    refine_k = 8
     checkpoint = model.ckpt
     block_groups = 4
     block_noise = 0.25
@@ -54,7 +54,7 @@ def test_parse_spec_roundtrip():
     assert spec.seed == 9
     assert spec.pipeline.tau == 1.5
     assert spec.pipeline.eps == 0.001
-    assert spec.pipeline.feature_dim == 13
+    assert spec.pipeline.refine_k == 8
     assert spec.checkpoint == "model.ckpt"
     assert spec.block_groups == 4
     assert spec.block_noise == 0.25

@@ -10,6 +10,7 @@ from dualseed.cli import main
 from dualseed.datagen import BlockParams, gen_block, gen_dense, read_dataset, read_matrix, write_matrix
 from dualseed.lap_core import solve_cold
 from dualseed.rowdualnet import init_model, load_checkpoint, save_checkpoint
+from dualseed.warmstart import FEATURE_DIM
 
 
 def run(capsys, *argv):
@@ -32,7 +33,7 @@ def test_gen_matrix_and_dataset(tmp_path, capsys):
     assert code == 0 and "4 labeled instances" in out
     dataset = read_dataset(dpath)
     assert len(dataset) == 4
-    assert dataset[0].features.values.shape == (8, 21)
+    assert dataset[0].features.values.shape == (8, FEATURE_DIM)
 
 
 def test_gen_block_sparse_matrix(tmp_path, capsys):
@@ -57,8 +58,8 @@ def test_train_solve_roundtrip(tmp_path, capsys):
         "--epochs", "2", "--batch", "2", "--log", log,
     )
     assert code == 0 and "trained 2 epochs" in out
-    model = load_checkpoint(ckpt, expect_input_dim=21)
-    assert model.input_dim == 21
+    model = load_checkpoint(ckpt, expect_input_dim=FEATURE_DIM)
+    assert model.input_dim == FEATURE_DIM
     entries = [json.loads(line) for line in open(log)]
     assert len(entries) == 2 and entries[0]["epoch"] == 0
 
@@ -81,7 +82,7 @@ def test_train_solve_roundtrip(tmp_path, capsys):
 
 def test_solve_runs_every_registry_strategy(tmp_path, capsys):
     ckpt = str(tmp_path / "model.ckpt")
-    save_checkpoint(init_model(21, hidden_dim=8, seed=0), ckpt)
+    save_checkpoint(init_model(FEATURE_DIM, hidden_dim=8, seed=0), ckpt)
     mpath = str(tmp_path / "m.lapm")
     write_matrix(mpath, gen_dense(10, seed=21))
     needs_corpus = {"linreg", "median"}
@@ -142,7 +143,7 @@ def test_train_activation_and_transpose_flags(tmp_path, capsys):
     )
     assert code == 0
     assert "on 6 instances" in out  # 3 originals + 3 transposes
-    model = load_checkpoint(ckpt, expect_input_dim=21)
+    model = load_checkpoint(ckpt, expect_input_dim=FEATURE_DIM)
     assert model.activation == "silu"
 
 

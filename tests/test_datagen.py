@@ -31,6 +31,7 @@ from dualseed.errors import (
     VersionMismatch,
 )
 from dualseed.lap_core import CostMatrix, solve_cold
+from dualseed.warmstart import FEATURE_DIM
 
 
 # ----------------------------------------------------------------- gen_dense
@@ -166,7 +167,7 @@ def test_gen_labels_invariants_random():
         ei, ej = inst.optimal_edges[:, 0], inst.optimal_edges[:, 1]
         assert np.abs(r[ei, ej]).max() <= 1e-9
         assert sorted(ej.tolist()) == list(range(24))
-        assert inst.features.values.shape == (24, 21)
+        assert inst.features.values.shape == (24, FEATURE_DIM)
 
 
 def test_gen_labels_centered_vs_vertex_duals_same_objective():

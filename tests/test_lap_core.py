@@ -432,12 +432,14 @@ def test_column_minima_matches_whole_matrix(family, monkeypatch):
     d = values - u[:, None]
     for rows_per_block in (1, n // 3, n):
         monkeypatch.setattr(lap_core, "BLOCK_ENTRIES", rows_per_block * n)
-        for shift, whole in ((None, d), (v, d - v)):
-            minima, rows = column_minima(values, u, shift, argmins=True)
+        before = values.copy()
+        for row_shift, shift, whole in ((None, None, values), (u, None, d), (u, v, d - v)):
+            minima, rows = column_minima(values, row_shift, shift, argmins=True)
             assert minima.tobytes() == whole.min(axis=0).tobytes()
-            assert np.array_equal(rows, whole.argmin(axis=0))
-            plain = column_minima(values, u, shift)
+            assert rows.tobytes() == whole.argmin(axis=0).tobytes()
+            plain = column_minima(values, row_shift, shift)
             assert plain[0].tobytes() == minima.tobytes() and plain[1] is None
+        assert values.tobytes() == before.tobytes()  # the zero-u pass reads C in place
         assert equality_count(values, u, v, 0.25) == np.count_nonzero(np.abs(d - v) < 0.25)
 
 

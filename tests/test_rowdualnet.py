@@ -27,7 +27,7 @@ from dualseed.rowdualnet import (
     _sorted_k_costs,
 )
 from dualseed.lap_core import solve_cold, solve_seeded
-from dualseed.warmstart import PipelineConfig, extract_features, min_trick
+from dualseed.warmstart import FEATURE_DIM, extract_features, min_trick
 
 
 def _instance(n, seed, stream_index=0):
@@ -45,7 +45,7 @@ def _zeroed(model):
 
 def test_forward_all_zero_weights_outputs_bias():
     inst = _instance(5, seed=0)
-    model = _zeroed(init_model(21, hidden_dim=8, seed=0))
+    model = _zeroed(init_model(FEATURE_DIM, hidden_dim=8, seed=0))
     model.params["b_out"][0] = 3.5
     u_hat = forward(model, inst.features, inst.c)
     assert np.array_equal(u_hat, np.full(5, 3.5))
@@ -53,7 +53,7 @@ def test_forward_all_zero_weights_outputs_bias():
 
 def test_forward_shape_contract():
     inst = _instance(5, seed=1)
-    model = init_model(21, hidden_dim=8, seed=1)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=1)
     u_hat = forward(model, inst.features, inst.c)
     assert u_hat.shape == (5,)
     assert np.isfinite(u_hat).all()
@@ -61,8 +61,8 @@ def test_forward_shape_contract():
 
 def test_forward_padded_topk_matches_unpadded():
     inst = _instance(4, seed=2)
-    small = init_model(21, hidden_dim=8, refine_k=4, seed=2)
-    big = init_model(21, hidden_dim=8, refine_k=16, seed=2)
+    small = init_model(FEATURE_DIM, hidden_dim=8, refine_k=4, seed=2)
+    big = init_model(FEATURE_DIM, hidden_dim=8, refine_k=16, seed=2)
     for name in small.names():
         if name != "w_ref":
             big.params[name] = small.params[name].copy()
@@ -90,7 +90,7 @@ def test_sorted_k_costs_matches_full_sort(k, monkeypatch):
 
 def test_forward_row_set_equivariance_exact():
     inst = _instance(12, seed=3)
-    model = init_model(21, hidden_dim=16, seed=3)
+    model = init_model(FEATURE_DIM, hidden_dim=16, seed=3)
     u_hat = forward(model, inst.features, inst.c)
     rng = np.random.default_rng(3)
     perm = rng.permutation(12)
@@ -100,12 +100,12 @@ def test_forward_row_set_equivariance_exact():
 
 def test_forward_rejects_wrong_shapes():
     inst = _instance(5, seed=4)
-    model = init_model(13, hidden_dim=8, seed=4)
+    model = init_model(FEATURE_DIM + 3, hidden_dim=8, seed=4)
     with pytest.raises(ShapeMismatch):
-        forward(model, inst.features, inst.c)  # d=21 features into d=13 model
-    model21 = init_model(21, hidden_dim=8, seed=4)
+        forward(model, inst.features, inst.c)  # too few feature columns
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=4)
     with pytest.raises(ShapeMismatch):
-        forward(model21, inst.features.values[:3], inst.c)  # n mismatch
+        forward(model, inst.features.values[:3], inst.c)  # n mismatch
 
 
 # ---------------------------------------------------------------------- loss
@@ -165,7 +165,7 @@ def test_gradcheck_finite_differences(activation):
     for seed in range(5):
         inst = _instance(6, seed=100 + seed)
         model = init_model(
-            21, hidden_dim=8, num_blocks=3, refine_k=3, seed=seed, activation=activation
+            FEATURE_DIM, hidden_dim=8, num_blocks=3, refine_k=3, seed=seed, activation=activation
         )
         _, grads = loss_and_grads(model, inst.features, inst.c, inst, 0.1)
         for name in model.names():
@@ -192,7 +192,7 @@ def test_gradcheck_finite_differences(activation):
 
 def test_backward_bias_gradient_is_mean_sign():
     inst = _instance(10, seed=9)
-    model = init_model(21, hidden_dim=8, seed=9)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=9)
     model.params["w_ref"][...] = 0.0  # u_hat = h @ w_out + b_out exactly
     u_hat = forward(model, inst.features, inst.c)
     grads = backward(model, inst.features, inst.c, inst, 0.0)
@@ -206,7 +206,7 @@ def test_backward_slack_gauge_direction_cancels():
     # contributions (-lambda at the edge row, +lambda at the argmin row)
     # cancel in that sum, leaving the MAE part only.
     inst = _instance(10, seed=10)
-    model = init_model(21, hidden_dim=8, seed=10)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=10)
     model.params["w_ref"][...] = 0.0
     g0 = backward(model, inst.features, inst.c, inst, 0.0)
     g1 = backward(model, inst.features, inst.c, inst, 0.5)
@@ -238,7 +238,7 @@ def test_split_dataset_shapes():
 
 def test_train_lr_zero_leaves_parameters_unchanged():
     dataset = [_instance(6, seed=11, stream_index=i) for i in range(3)]
-    model = init_model(21, hidden_dim=8, seed=11)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=11)
     before = copy.deepcopy(model.params)
     trained, _ = train(dataset, TrainConfig(lr=0.0, epochs=3), model=model)
     for name in trained.names():
@@ -271,7 +271,7 @@ def test_train_progress_on_small_corpus():
     """Validation MAE drops by at least half on a 50-instance n=64 corpus."""
     dataset = [_instance(64, seed=14, stream_index=i) for i in range(50)]
     cfg = TrainConfig(epochs=60, seed=0)
-    model0 = init_model(21, seed=cfg.seed)
+    model0 = init_model(FEATURE_DIM, seed=cfg.seed)
     _, val_idx = split_dataset(len(dataset), cfg)
 
     def val_mae(m):
@@ -297,12 +297,11 @@ def test_train_small_n_transfers_to_larger_n():
     """
     dataset = [_instance(32, seed=22, stream_index=i) for i in range(40)]
     model, _ = train(dataset, TrainConfig(epochs=30, seed=0), hidden_dim=32)
-    cfg = PipelineConfig()
     wins = 0
     for idx in range(10):
         c = datagen.gen_dense(128, seed=23, stream_index=idx)
         _, _, cold = solve_cold(c)
-        u_hat = forward(model, extract_features(c, cfg), c)
+        u_hat = forward(model, extract_features(c), c)
         _, _, warm = solve_seeded(c, min_trick(c, u_hat))
         wins += warm.greedy_matched > cold.greedy_matched
     assert wins >= 8, f"model beats cold greedy matching on {wins}/10 instances"
@@ -354,12 +353,12 @@ def test_plateau_scheduler_reduces_after_patience():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     inst = _instance(7, seed=16)
-    model = init_model(21, hidden_dim=8, refine_k=5, seed=16)
+    model = init_model(FEATURE_DIM, hidden_dim=8, refine_k=5, seed=16)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert (loaded.input_dim, loaded.hidden_dim, loaded.num_blocks, loaded.refine_k) == (
-        21, 8, model.num_blocks, 5,
+        FEATURE_DIM, 8, model.num_blocks, 5,
     )
     for name in model.names():
         assert np.array_equal(loaded.params[name], model.params[name])
@@ -369,7 +368,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_truncation_rejected(tmp_path):
-    model = init_model(21, hidden_dim=8, seed=17)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=17)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     blob = path.read_bytes()
@@ -381,7 +380,7 @@ def test_checkpoint_truncation_rejected(tmp_path):
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
-    model = init_model(21, hidden_dim=8, seed=18)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=18)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     blob = bytearray(path.read_bytes())
@@ -393,21 +392,23 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
 
 
 def test_checkpoint_unknown_version_rejected(tmp_path):
-    model = init_model(21, hidden_dim=8, seed=19)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=19)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     blob = path.read_bytes()
     current = f'"version": {CHECKPOINT_VERSION}'.encode()
     assert current in blob
-    bad = tmp_path / "unknown.ckpt"
-    bad.write_bytes(blob.replace(current, f'"version": {CHECKPOINT_VERSION + 1}'.encode(), 1))
-    with pytest.raises(VersionMismatch):
-        load_checkpoint(str(bad))
+    # 2 held 21-column weights; CHECKPOINT_VERSION + 1 is from the future
+    for version in (2, CHECKPOINT_VERSION + 1):
+        bad = tmp_path / f"v{version}.ckpt"
+        bad.write_bytes(blob.replace(current, f'"version": {version}'.encode(), 1))
+        with pytest.raises(VersionMismatch):
+            load_checkpoint(str(bad))
 
 
 def test_checkpoint_preserves_activation_metadata(tmp_path):
     inst = _instance(6, seed=21)
-    model = init_model(21, hidden_dim=8, seed=21, activation="silu")
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=21, activation="silu")
     path = str(tmp_path / "silu.ckpt")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
@@ -422,17 +423,17 @@ def test_checkpoint_preserves_activation_metadata(tmp_path):
     with pytest.raises(VersionMismatch):
         load_checkpoint(str(bad))
     with pytest.raises(ValueError):
-        init_model(21, hidden_dim=8, activation="tanh")
+        init_model(FEATURE_DIM, hidden_dim=8, activation="tanh")
 
 
 def test_checkpoint_feature_dim_mismatch_rejected(tmp_path):
-    model = init_model(13, hidden_dim=8, seed=20)
-    path = str(tmp_path / "d13.ckpt")
+    model = init_model(FEATURE_DIM + 3, hidden_dim=8, seed=20)
+    path = str(tmp_path / "wide.ckpt")
     save_checkpoint(model, path)
     with pytest.raises(VersionMismatch):
-        load_checkpoint(path, expect_input_dim=21)
-    ok = load_checkpoint(path, expect_input_dim=13)
-    assert ok.input_dim == 13
+        load_checkpoint(path, expect_input_dim=FEATURE_DIM)
+    ok = load_checkpoint(path, expect_input_dim=FEATURE_DIM + 3)
+    assert ok.input_dim == FEATURE_DIM + 3
 
 
 def _rewrite_header(blob: bytes, edit) -> bytes:
@@ -445,7 +446,7 @@ def _rewrite_header(blob: bytes, edit) -> bytes:
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
-    model = init_model(21, hidden_dim=8, seed=22)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=22)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     padded = tmp_path / "padded.ckpt"
@@ -458,7 +459,7 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     "key", ["version", "input_dim", "hidden_dim", "num_blocks", "refine_k", "tensors"]
 )
 def test_checkpoint_missing_header_key_rejected(tmp_path, key):
-    model = init_model(21, hidden_dim=8, seed=23)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=23)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     bad = tmp_path / "missing.ckpt"
@@ -478,7 +479,7 @@ def test_checkpoint_non_object_header_rejected(tmp_path):
 def test_checkpoint_legacy_refine_pool_key_accepted(tmp_path):
     """Headers once carried refine_pool, which nothing read; such files load."""
     inst = _instance(6, seed=24)
-    model = init_model(21, hidden_dim=8, seed=24)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=24)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     blob = path.read_bytes()

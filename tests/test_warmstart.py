@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualseed import baselines, warmstart
+from dualseed import baselines, lap_core, warmstart
 from dualseed.datagen import BlockParams, gen_block, gen_dense
 from dualseed.errors import NonFinite, ShapeMismatch
-from dualseed.lap_core import CostMatrix, DualPotentials, reduced_costs, solve_cold
+from dualseed.lap_core import CostMatrix, DualPotentials, column_minima, reduced_costs, solve_cold
 from dualseed.warmstart import (
+    FEATURE_DIM,
     FEATURE_NAMES,
     STAGE_NAMES,
     FeatureMatrix,
@@ -26,17 +27,27 @@ from dualseed.warmstart import (
 F = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 
-def _raw_features(values, **cfg_kwargs):
+def _raw_features(values):
     c = CostMatrix.from_array(np.asarray(values, dtype=np.float64))
-    return extract_features(c, PipelineConfig(**cfg_kwargs), normalize=False)
+    return extract_features(c, normalize=False)
+
+
+def _tie_heavy(kind, n=200):
+    """n x n costs drawn from `kind` integer levels, or from {-0.0, 0.0, 1.0}."""
+    rng = np.random.default_rng(99 if kind == "signed-zero" else kind)
+    if kind == "signed-zero":
+        return rng.choice(np.array([-0.0, 0.0, 1.0]), size=(n, n))
+    return rng.integers(0, kind, (n, n)).astype(np.float64)
 
 
 # ------------------------------------------------------------------ features
 
-def test_feature_names_cover_all_21():
-    assert len(FEATURE_NAMES) == 21
-    assert FEATURE_NAMES[:4] == ("row_min", "row_max", "row_mean", "row_std")
-    assert FEATURE_NAMES[13:] == tuple(f"pe_{i}" for i in range(8))
+def test_feature_names_cover_all_10():
+    assert FEATURE_NAMES == (
+        "row_min", "row_max", "row_mean", "row_std", "entropy", "difficulty",
+        "near_best", "is_col_best", "k_mean", "k_std",
+    )
+    assert FEATURE_DIM == len(FEATURE_NAMES) == 10
 
 
 def test_row_statistics_hand_computed():
@@ -66,38 +77,32 @@ def test_is_col_best_2x2():
     assert feats.values[1, F["is_col_best"]] == 0.5
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3, 50])
+@pytest.mark.parametrize("levels", [1, 2, 3, 50, "signed-zero"])
 def test_rank_features_tie_heavy_match_stable_argsort(levels):
-    """Column ranks break ties toward the lower row index, as a stable sort does."""
-    rng = np.random.default_rng(levels)
-    n = 200  # more than one block of columns
-    values = rng.integers(0, levels, (n, n)).astype(np.float64)
-    feats = _raw_features(values).values
-
-    order = np.argsort(values, axis=0, kind="stable")
-    ranks = np.empty((n, n), dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(n, dtype=np.int64)[:, None], axis=0)
-    rank_mean_raw = ranks.sum(axis=1) / n
-    rank_var = (ranks * ranks).sum(axis=1) / n - rank_mean_raw**2
-    assert np.array_equal(feats[:, F["rank_mean"]], rank_mean_raw / (n - 1))
-    assert np.array_equal(feats[:, F["rank_std"]], np.sqrt(np.maximum(rank_var, 0.0)))
-    assert np.array_equal(feats[:, F["norm_rank"]], 1.0 - rank_mean_raw / (n - 1))
-    col_best = np.bincount(np.argmin(values, axis=0), minlength=n) / n
-    assert np.array_equal(feats[:, F["is_col_best"]], col_best)
+    """is_col_best credits each column to the row a stable sort ranks first:
+    the lowest row attaining the minimum, -0.0 and 0.0 counting as equal."""
+    values = _tie_heavy(levels)  # more than one block of rows
+    n = values.shape[0]
+    first = np.argsort(values, axis=0, kind="stable")[0]
+    col_best = np.bincount(first, minlength=n) / n
+    assert np.array_equal(_raw_features(values).values[:, F["is_col_best"]], col_best)
 
 
 def test_block_size_leaves_features_bit_identical(monkeypatch):
     rng = np.random.default_rng(6)
     for values in (rng.random((37, 37)), rng.integers(0, 3, (37, 37)).astype(np.float64)):
         c = CostMatrix.from_array(values)
-        feats = extract_features(c, PipelineConfig()).values
+        feats = extract_features(c).values
         for entries in (1, 37 * 5, 37 * 37):
             monkeypatch.setattr(warmstart, "BLOCK_ENTRIES", entries)
-            assert np.array_equal(extract_features(c, PipelineConfig()).values, feats)
+            monkeypatch.setattr(lap_core, "BLOCK_ENTRIES", entries)
+            assert np.array_equal(extract_features(c).values, feats)
 
 
 @pytest.mark.parametrize("kind", ["levels", "signed-zero", "dense"])
 def test_column_order_is_the_stable_argsort(kind):
+    """The one entry of each column's stable order that the features read,
+    its first row, is the zero-u argmin pass's row."""
     rng = np.random.default_rng(17)
     for n in (1, 2, 5, 64):
         if kind == "levels":
@@ -106,8 +111,8 @@ def test_column_order_is_the_stable_argsort(kind):
             values = rng.choice(np.array([-0.0, 0.0, 1.0]), size=(n, n))
         else:
             values = rng.random((n, n))
-        expected = np.argsort(values, axis=0, kind="stable").T
-        assert np.array_equal(warmstart._column_order(values), expected)
+        expected = np.argsort(values, axis=0, kind="stable")[0]
+        assert np.array_equal(column_minima(values, None, argmins=True)[1], expected)
 
 
 def _sha(arr):
@@ -120,17 +125,17 @@ def _golden_instance(name):
     return gen_dense(int(name.split("-")[1]), seed=777)
 
 
-# Bytes of the normalised 21-column features, pinned: a change that moves
+# Bytes of the normalised 10-column features, pinned: a change that moves
 # them changes what every model reads, not only how fast it is computed.
 # Recorded with numpy 2.4 on x86-64; exp and log may round differently on
 # another numpy build or CPU.
 GOLDEN_FEATURES = {
-    "dense-128": "0bbe08bd5da2cff8a42f9208a192ec9e98b7c6765321157cba630a20f7b95a85",
-    "block-256": "301fb900c7c4aba6a5ef19bff9e8070e452a54c5fcb2f95f14afdf842b07990a",
-    "levels-1": "22ba2fec54f8b72cf3707c0baca9c58ec060a8466026e2a584284f61b08d4409",
-    "levels-2": "e67844fdcae1016712670a12cc1e0615a330f546acbb7864a8883bb12ce9e742",
-    "levels-3": "9355c3e5d6ccb5ad459eb91ea49e577b772f0c61447479c1c7adb5198ec2e0d5",
-    "levels-50": "3b0e1dbc0c9e0fca3c0f70449060bc68c2c67f6c2e693612e536a712d2d72aac",
+    "dense-128": "7bceaa64e27570dceecf8136a818ef2a275fd039e3b8340507bd542978221044",
+    "block-256": "7ac121d8acc944d9d38e8122ff0d54fe2b2f4b24c20d061e9d99a78a40d9dd86",
+    "levels-1": "215751eb5941b42e662604f27bd21d1a45b48ca2ee3b4e8740a7dc5c7c1f23ad",
+    "levels-2": "606ab503cbcd4a8fc9fd034312383d5381cbc9e4f780cc60507532265dc2e7a6",
+    "levels-3": "7e85659fa0f5664592339805855c95753081993a94525aff2ecda36ade65db54",
+    "levels-50": "babd2e8faae0b1806ed4e21fb2da82a29d475cdf88a59e8c56fdb5671b3a0f07",
 }
 
 
@@ -138,18 +143,16 @@ GOLDEN_FEATURES = {
 def test_features_golden_bytes(name):
     if name.startswith("levels"):
         # the tie-heavy matrices of test_rank_features_tie_heavy_match_stable_argsort
-        levels = int(name.split("-")[1])
-        rng = np.random.default_rng(levels)
-        c = CostMatrix.from_array(rng.integers(0, levels, (200, 200)).astype(np.float64))
+        c = CostMatrix.from_array(_tie_heavy(int(name.split("-")[1])))
     else:
         c = _golden_instance(name)
-    assert _sha(extract_features(c, PipelineConfig()).values) == GOLDEN_FEATURES[name]
+    assert _sha(extract_features(c).values) == GOLDEN_FEATURES[name]
 
 
 def test_entropy_bounds_and_order_stats():
     rng = np.random.default_rng(0)
     c = CostMatrix.from_array(rng.random((12, 12)))
-    feats = extract_features(c, PipelineConfig(), normalize=False).values
+    feats = extract_features(c, normalize=False).values
     assert (feats[:, F["entropy"]] >= 0).all()
     assert (feats[:, F["entropy"]] <= np.log(12) + 1e-12).all()
     assert (feats[:, F["row_min"]] <= feats[:, F["row_mean"]]).all()
@@ -161,51 +164,30 @@ def test_entropy_bounds_and_order_stats():
     assert np.isfinite(feats).all()
 
 
-def test_positional_encodings_formula():
-    rng = np.random.default_rng(1)
-    n = 9
-    c = CostMatrix.from_array(rng.random((n, n)))
-    feats = extract_features(c, PipelineConfig()).values
-    i = np.arange(n) / n
-    for m, f in enumerate((1, 2, 4, 8)):
-        assert np.allclose(feats[:, 13 + 2 * m], np.sin(2 * np.pi * f * i), atol=1e-12)
-        assert np.allclose(feats[:, 13 + 2 * m + 1], np.cos(2 * np.pi * f * i), atol=1e-12)
-
-
 def test_zscore_normalization():
     rng = np.random.default_rng(2)
     c = CostMatrix.from_array(rng.random((30, 30)))
-    feats = extract_features(c, PipelineConfig()).values
-    block = feats[:, :13]
-    assert np.allclose(block.mean(axis=0), 0.0, atol=1e-9)
-    stds = block.std(axis=0)
+    feats = extract_features(c).values
+    assert feats.shape == (30, FEATURE_DIM)
+    assert np.allclose(feats.mean(axis=0), 0.0, atol=1e-9)
+    stds = feats.std(axis=0)
     assert ((np.isclose(stds, 1.0, atol=1e-6)) | (stds < 1e-6)).all()
-
-
-def test_reduced_dims_are_prefixes():
-    rng = np.random.default_rng(3)
-    c = CostMatrix.from_array(rng.random((8, 8)))
-    full = extract_features(c, PipelineConfig(feature_dim=21)).values
-    for d in (4, 13):
-        part = extract_features(c, PipelineConfig(feature_dim=d)).values
-        assert part.shape == (8, d)
-        assert np.array_equal(part, full[:, :d])
 
 
 def test_column_permutation_invariance_bit_exact():
     rng = np.random.default_rng(4)
     c = CostMatrix.from_array(rng.random((17, 17)))
-    feats = extract_features(c, PipelineConfig()).values
+    feats = extract_features(c).values
     for _ in range(5):
         perm = rng.permutation(17)
         permuted = CostMatrix.from_array(c.values[:, perm])
-        feats_p = extract_features(permuted, PipelineConfig()).values
+        feats_p = extract_features(permuted).values
         assert np.array_equal(feats, feats_p)
 
 
 def test_features_require_n_at_least_2():
     with pytest.raises(ShapeMismatch):
-        extract_features(CostMatrix.from_array(np.array([[1.0]])), PipelineConfig())
+        extract_features(CostMatrix.from_array(np.array([[1.0]])))
 
 
 def test_pipeline_config_validation():
@@ -213,8 +195,6 @@ def test_pipeline_config_validation():
         PipelineConfig(eps=0.0)
     with pytest.raises(ValueError):
         PipelineConfig(tau=-0.1)
-    with pytest.raises(ValueError):
-        PipelineConfig(feature_dim=7)
     with pytest.raises(ValueError):
         PipelineConfig(refine_k=0)
 
@@ -422,7 +402,7 @@ def test_pipeline_builds_no_n_squared_temporary(tau):
     from dualseed.rowdualnet import forward, init_model
 
     c = gen_dense(1024, seed=3)
-    model = init_model(21, hidden_dim=8, seed=0)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=0)
     cfg = PipelineConfig(tau=tau)
 
     def pipeline():
@@ -444,9 +424,9 @@ def test_warm_solve_checks_model_dim():
 
     rng = np.random.default_rng(13)
     c = CostMatrix.from_array(rng.random((6, 6)))
-    model = init_model(13, hidden_dim=8, seed=0)
+    model = init_model(FEATURE_DIM + 3, hidden_dim=8, seed=0)
     with pytest.raises(ShapeMismatch):
-        warm_solve(c, model, PipelineConfig(feature_dim=21))
+        warm_solve(c, model, PipelineConfig())
 
 
 def test_warm_solve_runs_end_to_end():
@@ -455,7 +435,7 @@ def test_warm_solve_runs_end_to_end():
     rng = np.random.default_rng(14)
     c = CostMatrix.from_array(rng.random((10, 10)))
     a_cold, _, _ = solve_cold(c)
-    model = init_model(21, hidden_dim=8, seed=0)
+    model = init_model(FEATURE_DIM, hidden_dim=8, seed=0)
     assignment, report = warm_solve(c, model, PipelineConfig())
     assert assignment.total_cost == pytest.approx(a_cold.total_cost, abs=1e-12)
     assert report.total_cost == assignment.total_cost
