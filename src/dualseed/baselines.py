@@ -46,7 +46,7 @@ def train_linreg(dataset: list, ridge: float = 1e-8) -> LinregWeights:
     Normal equations with a small ridge for conditioning; with ridge
     disabled a rank-deficient design surfaces as SingularSystem.
     """
-    xs = np.concatenate([inst.features.values for inst in dataset], axis=0)
+    xs = np.concatenate([inst.features for inst in dataset], axis=0)
     ys = np.concatenate([inst.u_star for inst in dataset])
     ones = np.ones((xs.shape[0], 1))
     design = np.concatenate([xs, ones], axis=1)
@@ -61,7 +61,7 @@ def train_linreg(dataset: list, ridge: float = 1e-8) -> LinregWeights:
 
 
 def seed_linreg(f, weights: LinregWeights) -> np.ndarray:
-    values = f.values if hasattr(f, "values") else np.asarray(f, dtype=np.float64)
+    values = np.asarray(f, dtype=np.float64)
     if values.shape[1] != weights.w.shape[0]:
         raise ShapeMismatch(
             f"feature dim {values.shape[1]} does not match weights dim {weights.w.shape[0]}"

@@ -12,20 +12,17 @@ K, and row permutations.
 
 Timing protocol: one untimed warm-up run per (strategy, size) before the
 timed trials; all timed runs for one instance execute sequentially.
-DUALSEED_THREADS caps worker parallelism for untimed preparation (default 1).
 """
 
 import dataclasses
 import json
-import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DualseedError, InsufficientTrials
+from .errors import DualseedError, InsufficientTrials, InvalidSetting
 from ._rng import STREAM_NOISE, STREAM_PERMUTATION, substream
 from .lap_core import CostMatrix, solve_cold, solve_seeded
 from .warmstart import (
@@ -131,14 +128,16 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidSetting("trials must be >= 1")
+        if min(self.sizes, default=0) < 1:
+            raise InvalidSetting("sizes must be non-empty and >= 1")
         if not self.strategies:
-            raise ValueError("strategies must be non-empty")
+            raise InvalidSetting("strategies must be non-empty")
         for s in self.strategies:
             if s not in STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r} (choose from {ALL_STRATEGIES})")
+                raise InvalidSetting(f"unknown strategy {s!r} (choose from {ALL_STRATEGIES})")
         if not (self.generator in datagen.GENERATORS or self.generator.startswith("file:")):
-            raise ValueError("generator must be dense, block, or file:<path>")
+            raise InvalidSetting("generator must be dense, block, or file:<path>")
 
 
 def _csv_tuple(cast):
@@ -155,7 +154,6 @@ SPEC_FIELDS = {
     "seed": (int, "spec"),
     "eps": (float, "pipeline"),
     "tau": (float, "pipeline"),
-    "refine_k": (int, "pipeline"),
     "block_groups": (int, "spec"),
     "block_noise": (float, "spec"),
 }
@@ -163,19 +161,25 @@ SPEC_KEYS = tuple(SPEC_FIELDS)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
-    """Parse key=value lines (# comments allowed) into an ExperimentSpec."""
+    """Parse key=value lines (# comments allowed) into an ExperimentSpec.
+
+    A malformed line, an unknown key or a bad value raises InvalidSetting.
+    """
     kwargs = {"spec": {}, "pipeline": {}}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
+            raise InvalidSetting(f"line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in SPEC_FIELDS:
-            raise ValueError(f"line {lineno}: unknown key {key!r} (known: {', '.join(SPEC_KEYS)})")
+            raise InvalidSetting(f"line {lineno}: unknown key {key!r} (known: {', '.join(SPEC_KEYS)})")
         cast, target = SPEC_FIELDS[key]
-        kwargs[target][key] = cast(value)
+        try:
+            kwargs[target][key] = cast(value)
+        except ValueError as exc:
+            raise InvalidSetting(f"line {lineno}: {key}: {exc}") from None
     return ExperimentSpec(pipeline=PipelineConfig(**kwargs["pipeline"]), **kwargs["spec"])
 
 
@@ -227,24 +231,6 @@ def _record_from_report(strategy, n, trial, report) -> RunRecord:
     )
 
 
-def worker_count() -> int:
-    """Parallelism cap for untimed preparation, from DUALSEED_THREADS."""
-    try:
-        return max(1, int(os.environ.get("DUALSEED_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _generate_instances(spec: ExperimentSpec, n: int) -> list:
-    """All trial instances for one size; each is pure in (spec, n, trial),
-    so the DUALSEED_THREADS fan-out cannot change the results."""
-    threads = worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda t: generate_instance(spec, n, t), range(spec.trials)))
-    return [generate_instance(spec, n, t) for t in range(spec.trials)]
-
-
 def generate_instance(spec: ExperimentSpec, n: int, trial: int) -> CostMatrix:
     """The instance shared by every strategy in one (size, trial) cell."""
     if spec.generator.startswith("file:"):
@@ -286,7 +272,7 @@ def _load_model(spec: ExperimentSpec):
     if "neural" not in spec.strategies:
         return None
     if spec.checkpoint is None:
-        raise ValueError("neural strategy requires a checkpoint path")
+        raise InvalidSetting("neural strategy requires a checkpoint path")
     return rowdualnet.load_checkpoint(spec.checkpoint, expect_input_dim=FEATURE_DIM)
 
 
@@ -313,7 +299,8 @@ def _grid_cells(spec: ExperimentSpec, preps: dict, transform=None):
     """(n, trial, instance, preps[n]) over the spec's sizes and trials;
     transform(instance, trial) -> instance derives what is benchmarked."""
     for n in spec.sizes:
-        for trial, c in enumerate(_generate_instances(spec, n)):
+        for trial in range(spec.trials):
+            c = generate_instance(spec, n, trial)
             yield n, trial, c if transform is None else transform(c, trial), preps[n]
 
 
@@ -359,12 +346,7 @@ def run_experiment(spec: ExperimentSpec, out_path: str | None = None) -> list:
 def write_records(path: str, records: list, spec: ExperimentSpec | None = None):
     """Line-delimited JSON; the first line is a metadata record."""
     with open(path, "w") as fh:
-        meta = {
-            "_meta": {
-                "warmup_runs": 1,
-                "threads": worker_count(),
-            }
-        }
+        meta = {"_meta": {"warmup_runs": 1}}
         if spec is not None:
             meta["_meta"]["generator"] = spec.generator
             meta["_meta"]["seed"] = spec.seed
@@ -472,20 +454,26 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def summary_csv(rows: list) -> str:
-    lines = [SUMMARY_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.strategy, r.n, r.trials, r.mean_ratio, r.ci_lo, r.ci_hi,
-                    r.median_ratio, r.cv, r.min_wall_ns, r.max_wall_ns,
-                    r.mean_greedy_match_rate, r.augment_reduction_vs_cold, r.fallback_rate,
-                )
-            )
-        )
+def table_csv(header: str, rows: list, formats: dict | None = None) -> str:
+    """CSV text: the header line, then one line per row.
+
+    A row is a dict or a dataclass holding every header column; each cell is
+    written with its column's format spec from `formats`, or with _fmt.
+    """
+    columns = header.split(",")
+    formats = formats or {}
+    lines = [header]
+    for row in rows:
+        cells = row if isinstance(row, dict) else vars(row)
+        lines.append(",".join(
+            format(cells[col], formats[col]) if col in formats else _fmt(cells[col])
+            for col in columns
+        ))
     return "\n".join(lines) + "\n"
+
+
+def summary_csv(rows: list) -> str:
+    return table_csv(SUMMARY_HEADER, rows)
 
 
 def breakdown_table(records: list) -> list:
@@ -522,14 +510,7 @@ def breakdown_table(records: list) -> list:
 
 
 def breakdown_csv(rows: list) -> str:
-    lines = [BREAKDOWN_HEADER]
-    for row in rows:
-        cells = [str(row["n"])]
-        for stage in STAGE_NAMES:
-            cells.append(f"{row[f'{stage}_ms']:.6f}")
-            cells.append(f"{row[f'{stage}_pct']:.3f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return table_csv(BREAKDOWN_HEADER, rows, {f"{stage}_pct": ".3f" for stage in STAGE_NAMES})
 
 
 def sweep_noise(spec: ExperimentSpec, sigmas: list) -> list:
@@ -564,10 +545,8 @@ def sweep_noise(spec: ExperimentSpec, sigmas: list) -> list:
 
 
 def noise_csv(rows: list) -> str:
-    lines = ["sigma,mean_rho,mean_dual_update_steps"]
-    for r in rows:
-        lines.append(f"{r['sigma']:.6f},{r['mean_rho']:.6f},{r['mean_dual_update_steps']:.6f}")
-    return "\n".join(lines) + "\n"
+    header = "sigma,mean_rho,mean_dual_update_steps"
+    return table_csv(header, rows, dict.fromkeys(header.split(","), ".6f"))
 
 
 def _axis_rows(axis_name: str, axis_value, records: list) -> list:
@@ -592,23 +571,11 @@ def _axis_rows(axis_name: str, axis_value, records: list) -> list:
 
 
 def axis_csv(axis_name: str, rows: list) -> str:
-    header = (
+    return table_csv(
         f"{axis_name},strategy,n,mean_ratio,ci_lo,ci_hi,"
-        "mean_greedy_match_rate,augment_reduction_vs_cold,fallback_rate"
+        "mean_greedy_match_rate,augment_reduction_vs_cold,fallback_rate",
+        rows,
     )
-    lines = [header]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r[axis_name], r["strategy"], r["n"], r["mean_ratio"], r["ci_lo"],
-                    r["ci_hi"], r["mean_greedy_match_rate"],
-                    r["augment_reduction_vs_cold"], r["fallback_rate"],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def sweep_sparsity(spec: ExperimentSpec, fractions: list) -> list:
@@ -632,11 +599,9 @@ def sweep_topk(spec: ExperimentSpec, ks: list, train_instances: int = 50,
     rows = []
     for k in ks:
         tc = rowdualnet.TrainConfig(epochs=epochs, seed=spec.seed)
-        model, _ = rowdualnet.train(corpus, tc, refine_k=k)
-        variant = dataclasses.replace(
-            spec, strategies=("cold", "neural"),
-            pipeline=dataclasses.replace(spec.pipeline, refine_k=k),
-        )
+        init = rowdualnet.init_model(FEATURE_DIM, refine_k=k, seed=tc.seed)
+        model, _ = rowdualnet.train(corpus, tc, model=init)
+        variant = dataclasses.replace(spec, strategies=("cold", "neural"))
         records = run_cells(variant, _grid_cells(variant, _prepare_sizes(variant, model)))
         rows.extend(_axis_rows("k", k, records))
     return rows
@@ -679,10 +644,8 @@ def sweep_permutation(spec: ExperimentSpec, num_perms: int = 10) -> list:
 
 
 def permutation_csv(rows: list) -> str:
-    lines = ["strategy,num_perms,distinct_costs,cost,mean_wall_ns,wall_std_ns"]
-    for r in rows:
-        lines.append(
-            f"{r['strategy']},{r['num_perms']},{r['distinct_costs']},"
-            f"{r['cost']:.9f},{r['mean_wall_ns']:.1f},{r['wall_std_ns']:.1f}"
-        )
-    return "\n".join(lines) + "\n"
+    return table_csv(
+        "strategy,num_perms,distinct_costs,cost,mean_wall_ns,wall_std_ns",
+        rows,
+        {"cost": ".9f", "mean_wall_ns": ".1f", "wall_std_ns": ".1f"},
+    )

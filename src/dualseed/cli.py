@@ -16,22 +16,6 @@ from .errors import DualseedError
 from .warmstart import FEATURE_DIM, PipelineConfig
 
 
-def _pipeline_from_args(args) -> PipelineConfig:
-    kwargs = {}
-    for key in ("eps", "tau", "refine_k"):
-        value = getattr(args, key, None)
-        if value is not None:
-            kwargs[key] = value
-    return PipelineConfig(**kwargs)
-
-
-def _add_pipeline_args(p: argparse.ArgumentParser):
-    p.add_argument("--eps", type=float, default=None, help="equality-density tolerance")
-    p.add_argument("--tau", type=float, default=None, help="fallback density threshold")
-    p.add_argument("--refine-k", dest="refine_k", type=int, default=None,
-                   help="refinement width K")
-
-
 def cmd_gen(args) -> int:
     def instance(i):
         c = datagen.generate(args.generator, args.n, args.seed, i,
@@ -55,7 +39,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _pipeline_from_args(args)
     dataset = datagen.read_dataset(args.dataset)
     if args.augment_transpose:
         dataset = dataset + [datagen.transpose_instance(inst) for inst in dataset]
@@ -65,8 +48,7 @@ def cmd_train(args) -> int:
         val_fraction=args.val_fraction,
     )
     init = rowdualnet.init_model(
-        dataset[0].features.d, refine_k=cfg.refine_k, seed=tc.seed,
-        activation=args.activation,
+        FEATURE_DIM, refine_k=args.refine_k, seed=tc.seed, activation=args.activation
     )
     model, log = rowdualnet.train(dataset, tc, model=init)
     rowdualnet.save_checkpoint(model, args.out)
@@ -83,7 +65,7 @@ def cmd_train(args) -> int:
 
 def cmd_solve(args) -> int:
     c = datagen.read_csv(args.matrix) if args.matrix.endswith(".csv") else datagen.read_matrix(args.matrix)
-    cfg = _pipeline_from_args(args)
+    cfg = PipelineConfig(eps=args.eps, tau=args.tau)
     prep = {"seed": args.seed}
     if args.checkpoint is not None:
         prep["model"] = rowdualnet.load_checkpoint(args.checkpoint, expect_input_dim=FEATURE_DIM)
@@ -191,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.1)
     p.add_argument("--activation", choices=rowdualnet.ACTIVATIONS, default="relu")
+    p.add_argument("--refine-k", dest="refine_k", type=int, default=rowdualnet.DEFAULT_REFINE_K,
+                   help="refinement width K")
     p.add_argument("--augment-transpose", dest="augment_transpose", action="store_true",
                    help="double the dataset with transposed copies")
-    _add_pipeline_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("solve", help="solve one matrix with one strategy")
@@ -202,7 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the assignment here")
-    _add_pipeline_args(p)
+    p.add_argument("--eps", type=float, default=PipelineConfig.eps,
+                   help="equality-density tolerance")
+    p.add_argument("--tau", type=float, default=PipelineConfig.tau,
+                   help="fallback density threshold")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run a benchmark grid from a config file")

@@ -21,6 +21,7 @@ from .errors import (
     BadMagic,
     DualseedError,
     InfeasibleMask,
+    MalformedCsv,
     NonFinite,
     NonSquare,
     TruncatedFile,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from ._rng import STREAM_BLOCK, STREAM_DENSE, STREAM_SPARSIFY, substream
 from .lap_core import CostMatrix, center_duals, reduced_costs, solve_cold
-from .warmstart import FeatureMatrix, extract_features
+from .warmstart import extract_features
 
 MATRIX_MAGIC = b"LAPM"
 DATASET_MAGIC = b"LAPD"
@@ -155,7 +156,7 @@ class LabeledInstance:
     """A cost matrix with optimal dual labels and the optimal edge set."""
 
     c: CostMatrix
-    features: FeatureMatrix
+    features: np.ndarray  # extract_features(c); no columns when n == 1
     u_star: np.ndarray
     v_star: np.ndarray
     optimal_edges: np.ndarray  # (n, 2) int64 rows (i, sigma*(i))
@@ -184,9 +185,9 @@ def gen_labels(c: CostMatrix, center: bool = True, center_sweeps: int = 3) -> La
     return LabeledInstance(c, _features(c), u_star, v_star, edges)
 
 
-def _features(c: CostMatrix) -> FeatureMatrix:
+def _features(c: CostMatrix) -> np.ndarray:
     """extract_features, or no columns for a 1 x 1 instance."""
-    return extract_features(c) if c.n >= 2 else FeatureMatrix(c.n, 0, np.zeros((c.n, 0)))
+    return extract_features(c) if c.n >= 2 else np.zeros((c.n, 0))
 
 
 def transpose_instance(inst: LabeledInstance) -> LabeledInstance:
@@ -339,13 +340,22 @@ def read_dataset(path: str, return_aux: bool = False):
 
 
 def read_csv(path: str) -> CostMatrix:
-    """Import a comma-separated matrix: decimal floats, no header row."""
+    """Import a comma-separated matrix: decimal floats, no header row.
+
+    A cell that is not a number, or a row whose length differs from the
+    first row's, raises MalformedCsv.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for line in csv.reader(fh):
+        for lineno, line in enumerate(csv.reader(fh), 1):
             if not line:
                 continue
-            rows.append([float(cell) for cell in line])
+            try:
+                rows.append([float(cell) for cell in line])
+            except ValueError as exc:
+                raise MalformedCsv(f"{path}: line {lineno}: {exc}") from None
+            if len(line) != len(rows[0]):
+                raise MalformedCsv(f"{path}: line {lineno} has {len(line)} cells, not {len(rows[0])}")
     if not rows:
         raise TruncatedFile(f"{path}: no rows")
     values = np.asarray(rows, dtype=np.float64)

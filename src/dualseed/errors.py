@@ -55,3 +55,11 @@ class SingularSystem(DualseedError):
 
 class InsufficientTrials(DualseedError):
     """A summary cell has fewer trials than the statistic requires."""
+
+
+class InvalidSetting(DualseedError, ValueError):
+    """A setting is malformed or out of range: a spec-file line, a config field."""
+
+
+class MalformedCsv(DualseedError):
+    """CSV matrix has a cell that is not a number or rows of unequal length."""

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, EmptyDataset, ShapeMismatch, VersionMismatch
+from .errors import CorruptCheckpoint, EmptyDataset, InvalidSetting, ShapeMismatch, VersionMismatch
 from ._rng import STREAM_MODEL_INIT, STREAM_TRAIN_SHUFFLE, substream
 from .lap_core import BLOCK_ENTRIES, CostMatrix, column_minima
-from .warmstart import FeatureMatrix
+from .warmstart import FEATURE_DIM
 
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"RDN1"
@@ -47,6 +47,9 @@ CHECKPOINT_VERSION = 3
 DEFAULT_HIDDEN = 64
 DEFAULT_BLOCKS = 1
 DEFAULT_REFINE_K = 16
+
+SCHEDULER_FACTOR = 0.5
+SCHEDULER_PATIENCE = 10
 
 ACTIVATIONS = ("relu", "silu")
 
@@ -94,6 +97,8 @@ def init_model(
     """He-initialized model; biases and LayerNorm offsets start at zero."""
     if activation not in ACTIVATIONS:
         raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    if refine_k < 1:
+        raise InvalidSetting("refine_k must be >= 1")
     rng = substream(seed, STREAM_MODEL_INIT)
     h = hidden_dim
     p = {}
@@ -121,10 +126,6 @@ def init_model(
         activation=activation,
         params=p,
     )
-
-
-def _as_feature_array(f) -> np.ndarray:
-    return f.values if isinstance(f, FeatureMatrix) else np.asarray(f, dtype=np.float64)
 
 
 def _as_cost_array(c) -> np.ndarray:
@@ -178,7 +179,7 @@ def _forward_cached(p: ModelParams, f, c, for_backward: bool = True, consts=None
     """Forward pass; with for_backward it also keeps what the backward pass
     reads (per-block activations and derivatives), which inference skips.
     consts is _cost_constants(C, p.refine_k) when the caller has it."""
-    x = _as_feature_array(f)
+    x = np.asarray(f, dtype=np.float64)
     values = _as_cost_array(c)
     if x.ndim != 2 or x.shape[1] != p.input_dim:
         raise ShapeMismatch(f"features shape {x.shape} does not match input_dim={p.input_dim}")
@@ -330,12 +331,10 @@ def backward(p: ModelParams, f, c, inst, lambda_cs: float) -> dict:
 
 @dataclass
 class TrainConfig:
-    """Optimizer, scheduler, and loop settings."""
+    """Optimizer and loop settings."""
 
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    scheduler_factor: float = 0.5
-    scheduler_patience: int = 10
     lambda_cs: float = 0.1
     batch: int = 16
     epochs: int = 150
@@ -417,15 +416,11 @@ def split_dataset(m: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     return order[n_val:], order[:n_val]
 
 
-def train(
-    dataset: list,
-    cfg: TrainConfig,
-    hidden_dim: int = DEFAULT_HIDDEN,
-    num_blocks: int = DEFAULT_BLOCKS,
-    refine_k: int = DEFAULT_REFINE_K,
-    model: ModelParams | None = None,
-) -> tuple[ModelParams, list]:
+def train(dataset: list, cfg: TrainConfig, model: ModelParams | None = None) -> tuple[ModelParams, list]:
     """Fit a model on labeled instances; returns (params, per-epoch log).
+
+    Training starts from `model`, or from init_model(FEATURE_DIM,
+    seed=cfg.seed), the default architecture, when it is None.
 
     Instances are shuffled per epoch and consumed in batches whose mean
     gradient drives one optimizer step. A validation split (val_fraction,
@@ -445,12 +440,11 @@ def train(
     rng = substream(cfg.seed, STREAM_TRAIN_SHUFFLE, index=1)
 
     if model is None:
-        input_dim = dataset[0].features.d
-        model = init_model(input_dim, hidden_dim, num_blocks, refine_k, seed=cfg.seed)
+        model = init_model(FEATURE_DIM, seed=cfg.seed)
     names = model.names()
     shapes = [model.params[n].shape for n in names]
     opt = AdamW(names, shapes, cfg.lr, cfg.weight_decay)
-    sched = PlateauScheduler(opt, cfg.scheduler_factor, cfg.scheduler_patience)
+    sched = PlateauScheduler(opt, SCHEDULER_FACTOR, SCHEDULER_PATIENCE)
     consts = [_cost_constants(inst.c.values, model.refine_k) for inst in dataset]
 
     log = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch
+from .errors import InvalidSetting, NonFinite, ShapeMismatch
 from .lap_core import (
     BLOCK_ENTRIES,
     Assignment,
@@ -55,24 +55,12 @@ class PipelineConfig:
 
     eps: float = 1e-5
     tau: float = 1.2
-    refine_k: int = 16
 
     def __post_init__(self):
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise InvalidSetting("eps must be positive")
         if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
-        if self.refine_k < 1:
-            raise ValueError("refine_k must be >= 1")
-
-
-@dataclass
-class FeatureMatrix:
-    """Per-row feature vectors, one row per cost-matrix row."""
-
-    n: int
-    d: int
-    values: np.ndarray
+            raise InvalidSetting("tau must be nonnegative")
 
 
 @dataclass
@@ -89,8 +77,8 @@ class PipelineReport:
     total_cost: float = 0.0
 
 
-def extract_features(c: CostMatrix, normalize: bool = True) -> FeatureMatrix:
-    """Build the n x FEATURE_DIM feature matrix for cost matrix rows.
+def extract_features(c: CostMatrix, normalize: bool = True) -> np.ndarray:
+    """Build the (n, FEATURE_DIM) feature array for cost matrix rows.
 
     Row-distribution statistics are computed from each row sorted ascending,
     and is_col_best is the share of columns whose lowest minimising row is
@@ -119,7 +107,7 @@ def extract_features(c: CostMatrix, normalize: bool = True) -> FeatureMatrix:
         mu = feats.mean(axis=0)
         sd = np.maximum(feats.std(axis=0), 1e-8)
         feats = (feats - mu) / sd
-    return FeatureMatrix(n=n, d=FEATURE_DIM, values=feats)
+    return feats
 
 
 def _row_statistics(rows: np.ndarray, k: int) -> np.ndarray:
@@ -198,7 +186,7 @@ def warm_solve(c: CostMatrix, model, cfg: PipelineConfig) -> tuple[Assignment, P
     if model.input_dim != FEATURE_DIM:
         raise ShapeMismatch(f"model expects d={model.input_dim}, features have d={FEATURE_DIM}")
 
-    def predict(feats: FeatureMatrix) -> np.ndarray:
+    def predict(feats: np.ndarray) -> np.ndarray:
         return forward(model, feats, c)
 
     return run_pipeline(c, predict, cfg, needs_features=True)
@@ -212,7 +200,7 @@ def run_pipeline(
 ) -> tuple[Assignment, PipelineReport]:
     """Timed five-stage pipeline around an arbitrary row-potential predictor.
 
-    `predict` maps a FeatureMatrix (or None when needs_features is False) to
+    `predict` maps the feature array (or None when needs_features is False) to
     a length-n array of row potentials. warm_solve and every benchmark
     strategy share this path so their stage timings mean the same thing.
     An output that is not n finite values raises ShapeMismatch or NonFinite

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from dualseed import datagen, rowdualnet as rdn
-from dualseed.lap_core import center_duals, solve_cold
-from dualseed.warmstart import extract_features
+from dualseed.warmstart import FEATURE_DIM
 
 import pytest
 
@@ -56,19 +53,7 @@ def pytest_terminal_summary(terminalreporter):
 
 def labeled_instance(c, sweeps: int = LABEL_CENTER_SWEEPS) -> datagen.LabeledInstance:
     """Optimal gauge-fixed duals (interior-centered) plus features for c."""
-    assignment, duals, _ = solve_cold(c)
-    centered = center_duals(c, assignment, duals, sweeps=sweeps)
-    shift = centered.u.mean()
-    edges = np.stack(
-        [np.arange(c.n), assignment.row_to_col], axis=1
-    ).astype(np.int64)
-    return datagen.LabeledInstance(
-        c=c,
-        features=extract_features(c),
-        u_star=centered.u - shift,
-        v_star=centered.v + shift,
-        optimal_edges=edges,
-    )
+    return datagen.gen_labels(c, center_sweeps=sweeps)
 
 
 @pytest.fixture(scope="session")
@@ -93,7 +78,7 @@ def gate_model():
         seed=GATE_SEED,
         val_fraction=GATE_VAL_FRACTION,
     )
-    init = rdn.init_model(dataset[0].features.d, seed=cfg.seed, activation=GATE_ACTIVATION)
+    init = rdn.init_model(FEATURE_DIM, seed=cfg.seed, activation=GATE_ACTIVATION)
     model, log = rdn.train(dataset, cfg, model=init)
     t2 = time.perf_counter()
     info = {

@@ -73,7 +73,7 @@ def _affine_dataset(w, b, m=8, n=12, seed=41):
     dataset = []
     for i in range(m):
         inst = gen_labels(gen_dense(n, seed=seed, stream_index=i))
-        fake_u = inst.features.values @ w + b
+        fake_u = inst.features @ w + b
         dataset.append(
             LabeledInstance(
                 c=inst.c,
@@ -95,7 +95,7 @@ def test_linreg_recovers_affine_labels():
     for inst in dataset:
         pred = seed_linreg(inst.features, weights)
         assert np.abs(pred - inst.u_star).max() <= 1e-6
-    xs = np.concatenate([inst.features.values for inst in dataset])
+    xs = np.concatenate([inst.features for inst in dataset])
     ys = np.concatenate([inst.u_star for inst in dataset])
     residual = np.abs(xs @ weights.w + weights.b - ys).mean()
     assert residual <= 1e-8
@@ -112,7 +112,7 @@ def test_linreg_prediction_shape_and_dim_check():
     weights = train_linreg([inst])
     assert seed_linreg(inst.features, weights).shape == (9,)
     with pytest.raises(ShapeMismatch):
-        seed_linreg(inst.features.values[:, :-3], weights)
+        seed_linreg(inst.features[:, :-3], weights)
 
 
 def test_linreg_singular_without_ridge():

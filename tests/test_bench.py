@@ -11,10 +11,13 @@ from dualseed.bench import (
     SUMMARY_HEADER,
     ExperimentSpec,
     RunRecord,
+    SummaryRow,
+    axis_csv,
     breakdown_csv,
     breakdown_table,
     noise_csv,
     parse_spec,
+    permutation_csv,
     read_records,
     run_experiment,
     summarize,
@@ -22,7 +25,6 @@ from dualseed.bench import (
     sweep_noise,
     sweep_permutation,
     sweep_sparsity,
-    worker_count,
     write_records,
 )
 from dualseed.errors import InsufficientTrials
@@ -41,7 +43,6 @@ def test_parse_spec_roundtrip():
     seed = 9
     tau = 1.5
     eps = 0.001
-    refine_k = 8
     checkpoint = model.ckpt
     block_groups = 4
     block_noise = 0.25
@@ -54,7 +55,6 @@ def test_parse_spec_roundtrip():
     assert spec.seed == 9
     assert spec.pipeline.tau == 1.5
     assert spec.pipeline.eps == 0.001
-    assert spec.pipeline.refine_k == 8
     assert spec.checkpoint == "model.ckpt"
     assert spec.block_groups == 4
     assert spec.block_noise == 0.25
@@ -116,24 +116,6 @@ def test_run_experiment_deterministic_non_timing_fields():
         for key in da:
             if key not in skip:
                 assert da[key] == db[key], key
-
-
-def test_thread_cap_changes_only_metadata(tmp_path, monkeypatch):
-    spec = _small_spec(strategies=("cold", "row_mean"))
-    serial = run_experiment(spec)
-    monkeypatch.setenv("DUALSEED_THREADS", "3")
-    threaded = run_experiment(spec)
-    skip = {"wall_ns", "features_ns", "model_ns", "min_trick_ns", "fallback_check_ns", "solver_ns"}
-    for ra, rb in zip(serial, threaded):
-        da, db = dataclasses.asdict(ra), dataclasses.asdict(rb)
-        for key in da:
-            if key not in skip:
-                assert da[key] == db[key], key
-    path = str(tmp_path / "records.jsonl")
-    write_records(path, threaded, spec)
-    assert '"threads": 3' in open(path).readline()
-    monkeypatch.setenv("DUALSEED_THREADS", "not-a-number")
-    assert worker_count() == 1  # malformed values fall back to serial
 
 
 def test_records_jsonl_roundtrip(tmp_path):
@@ -207,6 +189,52 @@ def test_summary_csv_schema():
     assert lines[0] == SUMMARY_HEADER
     assert len(lines) == 3
     assert all(len(line.split(",")) == len(SUMMARY_HEADER.split(",")) for line in lines[1:])
+
+
+def test_csv_writers_exact_text():
+    summary = [
+        SummaryRow("cold", 8, 3, 1.0, 1.0, 1.0, 1.0, 0.408248290463863, 1, 3, 0.5, None, None),
+        SummaryRow("neural", 16, 2, 1.2345678, 0.9, 1.56789, 1.25, 0.0, 120, 260, 0.75,
+                   0.3333333333, 0.5),
+    ]
+    assert summary_csv(summary) == (
+        SUMMARY_HEADER + "\n"
+        "cold,8,3,1.000000,1.000000,1.000000,1.000000,0.408248,1,3,0.500000,,\n"
+        "neural,16,2,1.234568,0.900000,1.567890,1.250000,0.000000,120,260,0.750000,"
+        "0.333333,0.500000\n"
+    )
+    stages = ("features", "model", "min_trick", "fallback_check", "solver")
+    row = {"n": 16}
+    for s, ms, pct in zip(stages, (1.0, 2.5, 0.125, 0.0625, 5.3125),
+                          (11.7647, 29.41176, 1.4705882, 0.7352941, 62.5)):
+        row[f"{s}_ms"], row[f"{s}_pct"] = ms, pct
+    assert breakdown_csv([row]) == (
+        BREAKDOWN_HEADER + "\n"
+        "16,1.000000,11.765,2.500000,29.412,0.125000,1.471,0.062500,0.735,5.312500,62.500\n"
+    )
+    noise = [
+        {"sigma": 0.0, "mean_rho": 1.5, "mean_dual_update_steps": 0.0},
+        {"sigma": 0.05, "mean_rho": 1.0 / 3.0, "mean_dual_update_steps": 12.25},
+    ]
+    assert noise_csv(noise) == (
+        "sigma,mean_rho,mean_dual_update_steps\n"
+        "0.000000,1.500000,0.000000\n"
+        "0.050000,0.333333,12.250000\n"
+    )
+    axis = [{"k": 4, "strategy": "neural", "n": 32, "mean_ratio": 1.1, "ci_lo": 0.95,
+             "ci_hi": 1.25, "mean_greedy_match_rate": 0.71875,
+             "augment_reduction_vs_cold": None, "fallback_rate": 1.0}]
+    assert axis_csv("k", axis) == (
+        "k,strategy,n,mean_ratio,ci_lo,ci_hi,mean_greedy_match_rate,"
+        "augment_reduction_vs_cold,fallback_rate\n"
+        "4,neural,32,1.100000,0.950000,1.250000,0.718750,,1.000000\n"
+    )
+    perm = [{"strategy": "cold", "num_perms": 4, "distinct_costs": 1, "cost": 2.123456789012,
+             "mean_wall_ns": 1234.56, "wall_std_ns": 78.04}]
+    assert permutation_csv(perm) == (
+        "strategy,num_perms,distinct_costs,cost,mean_wall_ns,wall_std_ns\n"
+        "cold,4,1,2.123456789,1234.6,78.0\n"
+    )
 
 
 # ----------------------------------------------------------------- breakdown

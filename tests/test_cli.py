@@ -33,7 +33,7 @@ def test_gen_matrix_and_dataset(tmp_path, capsys):
     assert code == 0 and "4 labeled instances" in out
     dataset = read_dataset(dpath)
     assert len(dataset) == 4
-    assert dataset[0].features.values.shape == (8, FEATURE_DIM)
+    assert dataset[0].features.shape == (8, FEATURE_DIM)
 
 
 def test_gen_block_sparse_matrix(tmp_path, capsys):
@@ -200,6 +200,58 @@ def test_cli_reports_package_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err.lower()
+
+
+@pytest.mark.parametrize("text", ["1,2\n3\n", "1,abc\n3,4\n"], ids=["ragged", "non-numeric"])
+def test_solve_rejects_malformed_csv(tmp_path, capsys, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", str(path), "--strategy", "cold")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "line", ["trials = x", "trials = 0", "sizes = 0", "widgets = 3", "tau = -1",
+             "strategies = cold,neural"]
+)
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_bad_spec_file_is_a_typed_error(tmp_path, capsys, command, line):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"generator = dense\nsizes = 10\n{line}\n")
+    argv = [command, str(config)] if command == "bench" else [command, "perm", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+def test_train_on_one_by_one_instances_is_a_shape_error(tmp_path, capsys):
+    dpath = str(tmp_path / "tiny.lapd")
+    run(capsys, "gen", "dataset", "--n", "1", "--count", "2", "--out", dpath)
+    code, _, err = run(capsys, "train", "--dataset", dpath, "--out", str(tmp_path / "m.ckpt"),
+                       "--epochs", "1")
+    assert code == 1
+    assert err == f"error: features shape (1, 0) does not match input_dim={FEATURE_DIM}\n"
+
+
+def test_train_rejects_zero_refine_k(tmp_path, capsys):
+    dpath = str(tmp_path / "d.lapd")
+    run(capsys, "gen", "dataset", "--n", "6", "--count", "2", "--out", dpath)
+    code, _, err = run(capsys, "train", "--dataset", dpath, "--out", str(tmp_path / "m.ckpt"),
+                       "--refine-k", "0")
+    assert code == 1
+    assert err == "error: refine_k must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "m.lapm", "--refine-k", "3"],
+    ["train", "--dataset", "d.lapd", "--out", "m.ckpt", "--tau", "9"],
+    ["train", "--dataset", "d.lapd", "--out", "m.ckpt", "--eps", "0.1"],
+])
+def test_removed_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_rejects_unknown_subcommand():

@@ -167,7 +167,7 @@ def test_gen_labels_invariants_random():
         ei, ej = inst.optimal_edges[:, 0], inst.optimal_edges[:, 1]
         assert np.abs(r[ei, ej]).max() <= 1e-9
         assert sorted(ej.tolist()) == list(range(24))
-        assert inst.features.values.shape == (24, FEATURE_DIM)
+        assert inst.features.shape == (24, FEATURE_DIM)
 
 
 def test_gen_labels_centered_vs_vertex_duals_same_objective():
@@ -205,7 +205,7 @@ def test_transpose_instance_mirrors_labels_exactly():
     ei, ej = inst.optimal_edges[:, 0], inst.optimal_edges[:, 1]
     assert np.array_equal(t.optimal_edges[ej, 1], ei)
     assert np.abs(r_t[t.optimal_edges[:, 0], t.optimal_edges[:, 1]]).max() <= 1e-9
-    assert t.features.values.shape == inst.features.values.shape
+    assert t.features.shape == inst.features.shape
     # transposing twice returns to the original labels (up to the gauge shift,
     # which is zero-mean on both sides after one round trip)
     tt = transpose_instance(t)
@@ -297,7 +297,7 @@ def _dataset_equal(a: LabeledInstance, b: LabeledInstance):
     assert np.array_equal(a.u_star, b.u_star)
     assert np.array_equal(a.v_star, b.v_star)
     assert np.array_equal(a.optimal_edges, b.optimal_edges)
-    assert np.array_equal(a.features.values, b.features.values)
+    assert np.array_equal(a.features, b.features)
 
 
 def test_dataset_roundtrip_bit_exact(tmp_path):

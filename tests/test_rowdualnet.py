@@ -94,7 +94,7 @@ def test_forward_row_set_equivariance_exact():
     u_hat = forward(model, inst.features, inst.c)
     rng = np.random.default_rng(3)
     perm = rng.permutation(12)
-    u_perm = forward(model, inst.features.values[perm], inst.c.values[perm])
+    u_perm = forward(model, inst.features[perm], inst.c.values[perm])
     assert np.array_equal(u_perm, u_hat[perm])
 
 
@@ -105,7 +105,7 @@ def test_forward_rejects_wrong_shapes():
         forward(model, inst.features, inst.c)  # too few feature columns
     model = init_model(FEATURE_DIM, hidden_dim=8, seed=4)
     with pytest.raises(ShapeMismatch):
-        forward(model, inst.features.values[:3], inst.c)  # n mismatch
+        forward(model, inst.features[:3], inst.c)  # n mismatch
 
 
 # ---------------------------------------------------------------------- loss
@@ -248,8 +248,8 @@ def test_train_lr_zero_leaves_parameters_unchanged():
 def test_train_bitwise_determinism():
     dataset = [_instance(6, seed=12, stream_index=i) for i in range(5)]
     cfg = TrainConfig(epochs=5, batch=2, seed=3)
-    m1, log1 = train(dataset, cfg, hidden_dim=8)
-    m2, log2 = train(dataset, cfg, hidden_dim=8)
+    m1, log1 = train(dataset, cfg, model=init_model(FEATURE_DIM, hidden_dim=8, seed=cfg.seed))
+    m2, log2 = train(dataset, cfg, model=init_model(FEATURE_DIM, hidden_dim=8, seed=cfg.seed))
     for name in m1.names():
         assert np.array_equal(m1.params[name], m2.params[name])
     # every log field but the epoch's wall time is a function of the inputs
@@ -262,7 +262,7 @@ def test_train_bitwise_determinism():
 def test_train_single_instance_overfit():
     dataset = [_instance(8, seed=13)]
     cfg = TrainConfig(epochs=200, batch=1, lambda_cs=0.1, seed=0)
-    _, log = train(dataset, cfg, hidden_dim=16)
+    _, log = train(dataset, cfg, model=init_model(FEATURE_DIM, hidden_dim=16, seed=cfg.seed))
     assert log[-1]["train_loss"] < log[0]["train_loss"]
     assert log[-1]["train_loss"] < 0.1 * log[0]["train_loss"]
 
@@ -296,7 +296,8 @@ def test_train_small_n_transfers_to_larger_n():
     rows and the greedy match rate falls below the cold solver's.
     """
     dataset = [_instance(32, seed=22, stream_index=i) for i in range(40)]
-    model, _ = train(dataset, TrainConfig(epochs=30, seed=0), hidden_dim=32)
+    init = init_model(FEATURE_DIM, hidden_dim=32, seed=0)
+    model, _ = train(dataset, TrainConfig(epochs=30, seed=0), model=init)
     wins = 0
     for idx in range(10):
         c = datagen.gen_dense(128, seed=23, stream_index=idx)
@@ -309,7 +310,7 @@ def test_train_small_n_transfers_to_larger_n():
 
 def test_train_log_schema():
     dataset = [_instance(6, seed=15, stream_index=i) for i in range(3)]
-    _, log = train(dataset, TrainConfig(epochs=4), hidden_dim=8)
+    _, log = train(dataset, TrainConfig(epochs=4), model=init_model(FEATURE_DIM, hidden_dim=8))
     assert len(log) == 4
     assert [e["epoch"] for e in log] == [0, 1, 2, 3]
     for entry in log:

@@ -15,7 +15,6 @@ from dualseed.warmstart import (
     FEATURE_DIM,
     FEATURE_NAMES,
     STAGE_NAMES,
-    FeatureMatrix,
     PipelineConfig,
     equality_density,
     extract_features,
@@ -52,7 +51,7 @@ def test_feature_names_cover_all_10():
 
 def test_row_statistics_hand_computed():
     feats = _raw_features([[1, 2, 3, 4], [4, 3, 2, 1], [2, 2, 2, 2], [1, 1, 4, 4]])
-    row = feats.values[0]
+    row = feats[0]
     assert row[F["row_min"]] == 1.0
     assert row[F["row_max"]] == 4.0
     assert row[F["row_mean"]] == 2.5
@@ -65,7 +64,7 @@ def test_row_statistics_hand_computed():
 
 def test_constant_row_features():
     feats = _raw_features([[5, 5, 5], [1, 2, 3], [3, 1, 2]])
-    row = feats.values[0]
+    row = feats[0]
     assert row[F["row_std"]] == 0.0
     assert row[F["entropy"]] == pytest.approx(np.log(3.0), abs=1e-12)
     assert row[F["near_best"]] == 1.0
@@ -73,8 +72,8 @@ def test_constant_row_features():
 
 def test_is_col_best_2x2():
     feats = _raw_features([[0, 1], [1, 0]])
-    assert feats.values[0, F["is_col_best"]] == 0.5
-    assert feats.values[1, F["is_col_best"]] == 0.5
+    assert feats[0, F["is_col_best"]] == 0.5
+    assert feats[1, F["is_col_best"]] == 0.5
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 50, "signed-zero"])
@@ -85,18 +84,18 @@ def test_rank_features_tie_heavy_match_stable_argsort(levels):
     n = values.shape[0]
     first = np.argsort(values, axis=0, kind="stable")[0]
     col_best = np.bincount(first, minlength=n) / n
-    assert np.array_equal(_raw_features(values).values[:, F["is_col_best"]], col_best)
+    assert np.array_equal(_raw_features(values)[:, F["is_col_best"]], col_best)
 
 
 def test_block_size_leaves_features_bit_identical(monkeypatch):
     rng = np.random.default_rng(6)
     for values in (rng.random((37, 37)), rng.integers(0, 3, (37, 37)).astype(np.float64)):
         c = CostMatrix.from_array(values)
-        feats = extract_features(c).values
+        feats = extract_features(c)
         for entries in (1, 37 * 5, 37 * 37):
             monkeypatch.setattr(warmstart, "BLOCK_ENTRIES", entries)
             monkeypatch.setattr(lap_core, "BLOCK_ENTRIES", entries)
-            assert np.array_equal(extract_features(c).values, feats)
+            assert np.array_equal(extract_features(c), feats)
 
 
 @pytest.mark.parametrize("kind", ["levels", "signed-zero", "dense"])
@@ -146,13 +145,13 @@ def test_features_golden_bytes(name):
         c = CostMatrix.from_array(_tie_heavy(int(name.split("-")[1])))
     else:
         c = _golden_instance(name)
-    assert _sha(extract_features(c).values) == GOLDEN_FEATURES[name]
+    assert _sha(extract_features(c)) == GOLDEN_FEATURES[name]
 
 
 def test_entropy_bounds_and_order_stats():
     rng = np.random.default_rng(0)
     c = CostMatrix.from_array(rng.random((12, 12)))
-    feats = extract_features(c, normalize=False).values
+    feats = extract_features(c, normalize=False)
     assert (feats[:, F["entropy"]] >= 0).all()
     assert (feats[:, F["entropy"]] <= np.log(12) + 1e-12).all()
     assert (feats[:, F["row_min"]] <= feats[:, F["row_mean"]]).all()
@@ -167,7 +166,7 @@ def test_entropy_bounds_and_order_stats():
 def test_zscore_normalization():
     rng = np.random.default_rng(2)
     c = CostMatrix.from_array(rng.random((30, 30)))
-    feats = extract_features(c).values
+    feats = extract_features(c)
     assert feats.shape == (30, FEATURE_DIM)
     assert np.allclose(feats.mean(axis=0), 0.0, atol=1e-9)
     stds = feats.std(axis=0)
@@ -177,11 +176,11 @@ def test_zscore_normalization():
 def test_column_permutation_invariance_bit_exact():
     rng = np.random.default_rng(4)
     c = CostMatrix.from_array(rng.random((17, 17)))
-    feats = extract_features(c).values
+    feats = extract_features(c)
     for _ in range(5):
         perm = rng.permutation(17)
         permuted = CostMatrix.from_array(c.values[:, perm])
-        feats_p = extract_features(permuted).values
+        feats_p = extract_features(permuted)
         assert np.array_equal(feats, feats_p)
 
 
@@ -195,8 +194,6 @@ def test_pipeline_config_validation():
         PipelineConfig(eps=0.0)
     with pytest.raises(ValueError):
         PipelineConfig(tau=-0.1)
-    with pytest.raises(ValueError):
-        PipelineConfig(refine_k=0)
 
 
 # ----------------------------------------------------------------- min_trick
