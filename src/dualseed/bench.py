@@ -489,7 +489,7 @@ def breakdown_table(records: list) -> list:
         and (r.features_ns or r.model_ns) and r.min_trick_ns and r.solver_ns
     ]
     if not eligible:
-        raise ValueError("no full-pipeline records to break down")
+        raise InvalidSetting("no full-pipeline records to break down")
     rows = []
     for n in sorted({r.n for r in eligible}):
         cell = [r for r in eligible if r.n == n]

@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DualseedError as exc:
+    except (DualseedError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,7 @@ from .errors import (
     BadMagic,
     DualseedError,
     InfeasibleMask,
+    InvalidSetting,
     MalformedCsv,
     NonFinite,
     NonSquare,
@@ -61,25 +62,25 @@ class BlockParams:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise InvalidSetting("n must be >= 1")
         if self.num_groups is None:
             self.num_groups = max(1, self.n // 10)
         if self.num_groups < 1:
-            raise ValueError("num_groups must be >= 1")
+            raise InvalidSetting("num_groups must be >= 1")
         if len(self.levels) != len(self.level_probs) or len(self.levels) < 2:
-            raise ValueError("levels and level_probs must align, with >= 2 levels")
+            raise InvalidSetting("levels and level_probs must align, with >= 2 levels")
         if abs(sum(self.level_probs) - 1.0) > 1e-9:
-            raise ValueError("level_probs must sum to 1")
+            raise InvalidSetting("level_probs must sum to 1")
         if self.noise_sigma is None:
             self.noise_sigma = 0.05 * (max(self.levels) - min(self.levels))
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise InvalidSetting("noise_sigma must be >= 0")
 
 
 def gen_dense(n: int, seed: int, stream_index: int = 0) -> CostMatrix:
     """n x n matrix of i.i.d. uniform(0,1) costs."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidSetting("n must be >= 1")
     rng = substream(seed, STREAM_DENSE, stream_index)
     return CostMatrix.from_array(rng.random((n, n)))
 
@@ -131,7 +132,7 @@ def sparsify(c: CostMatrix, mask_fraction: float, seed: int, stream_index: int =
     and column keeps at least one real edge and the instance stays feasible.
     """
     if not 0.0 <= mask_fraction <= 0.9:
-        raise ValueError("mask_fraction must be in [0, 0.9]")
+        raise InvalidSetting("mask_fraction must be in [0, 0.9]")
     n = c.n
     mask_count = int(round(mask_fraction * n * n))
     if mask_count == 0:

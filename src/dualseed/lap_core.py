@@ -603,7 +603,9 @@ def _solve_from(values, u, v, argmins, transfer, t0, t1):
     return assignment, DualPotentials(u, v), stats
 
 
-def solve_cold(c: CostMatrix) -> tuple[Assignment, DualPotentials, SolveStats]:
+def solve_cold(
+    c: CostMatrix, col_argmins: np.ndarray | None = None
+) -> tuple[Assignment, DualPotentials, SolveStats]:
     """Solve from scratch: the driver seeded with u = 0 and column minima.
 
     v_j = min_i C_ij makes each column's argmin edge tight, so the harvest
@@ -611,13 +613,24 @@ def solve_cold(c: CostMatrix) -> tuple[Assignment, DualPotentials, SolveStats]:
     left free goes through an augmenting search. greedy_matched therefore
     reports the column-reduction match rate, the quantity the warm
     strategies are benchmarked against.
+
+    col_argmins, when given, is each column's lowest minimising row as
+    column_minima(C, None, argmins=True) returns it (warmstart's feature
+    pass takes it), and replaces that pass. Only its shape, integer dtype
+    and range are checked (ShapeMismatch otherwise): rows that are not
+    the column minima would break the duals' feasibility.
     """
     values = c.values
     n = c.n
+    argmins = col_argmins
+    if argmins is not None and (argmins.shape != (n,) or argmins.dtype.kind not in "iu"
+                                or argmins.min() < 0 or argmins.max() >= n):
+        raise ShapeMismatch(f"col_argmins must be {n} row indices in [0, {n})")
     t0 = time.perf_counter_ns()
     u = np.zeros(n, dtype=np.float64)
     t1 = time.perf_counter_ns()
-    _, argmins = column_minima(values, None, argmins=True)
+    if argmins is None:
+        _, argmins = column_minima(values, None, argmins=True)
     v = values[argmins, np.arange(n)]
     return _solve_from(values, u, v, argmins, True, t0, t1)
 

@@ -212,10 +212,21 @@ def _forward_cached(p: ModelParams, f, c, for_backward: bool = True, consts=None
     return cache
 
 
-def forward(p: ModelParams, f, c) -> np.ndarray:
+def forward(p: ModelParams, f, c, smallest: np.ndarray | None = None) -> np.ndarray:
     """Predicted row potentials, length n. Deterministic and equivariant under
-    row permutations; rows share nothing but the cost scale sigma."""
-    return _forward_cached(p, f, c, for_backward=False)["u_hat"]
+    row permutations; rows share nothing but the cost scale sigma.
+
+    smallest is each row's p.refine_k smallest costs as
+    warmstart.extract_features fills them, which equal _sorted_k_costs(C):
+    given, the refinement reads them instead of selecting them from C again.
+    """
+    consts = None
+    if smallest is not None:
+        n = _as_cost_array(c).shape[0]
+        if smallest.shape != (n, p.refine_k):
+            raise ShapeMismatch(f"smallest has shape {smallest.shape}, expected ({n}, {p.refine_k})")
+        consts = (smallest, _cost_scale(smallest, n))
+    return _forward_cached(p, f, c, for_backward=False, consts=consts)["u_hat"]
 
 
 @dataclass
@@ -343,9 +354,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+            raise InvalidSetting("lr must be nonnegative")
         if self.lambda_cs < 0:
-            raise ValueError("lambda_cs must be nonnegative")
+            raise InvalidSetting("lambda_cs must be nonnegative")
 
 
 class AdamW:

@@ -77,7 +77,8 @@ class PipelineReport:
     total_cost: float = 0.0
 
 
-def extract_features(c: CostMatrix, normalize: bool = True) -> np.ndarray:
+def extract_features(c: CostMatrix, normalize: bool = True, *, smallest: np.ndarray | None = None,
+                     col_argmins: np.ndarray | None = None) -> np.ndarray:
     """Build the (n, FEATURE_DIM) feature array for cost matrix rows.
 
     Row-distribution statistics are computed from each row sorted ascending,
@@ -86,11 +87,19 @@ def extract_features(c: CostMatrix, normalize: bool = True) -> np.ndarray:
     reproduces every feature bit for bit. Every feature is z-scored per
     instance (std floored at 1e-8); `normalize=False` returns the raw values,
     which is what the documented per-feature formulas describe.
+
+    The same pass fills the optional buffers that later stages would
+    otherwise read C again for: `smallest`, shape (n, K), gets each row's K
+    smallest costs ascending, padded by the row maximum when K > n (the
+    refinement input of rowdualnet.forward), and `col_argmins`, shape (n,),
+    gets each column's lowest minimising row (the harvest of solve_cold).
     """
     values = c.values
     n = c.n
     if n < 2:
         raise ShapeMismatch("feature extraction requires n >= 2")
+    if smallest is not None and (smallest.ndim != 2 or smallest.shape[0] != n):
+        raise ShapeMismatch(f"smallest has shape {smallest.shape}, expected ({n}, K)")
     k = min(FEATURE_K, n)
 
     # Every row statistic is a per-row reduction, so passes over blocks of
@@ -99,9 +108,16 @@ def extract_features(c: CostMatrix, normalize: bool = True) -> np.ndarray:
     step = max(1, BLOCK_ENTRIES // n)
     feats = np.empty((n, FEATURE_DIM), dtype=np.float64)
     for lo in range(0, n, step):
-        feats[lo : lo + step, _ROW_STAT_COLS] = _row_statistics(values[lo : lo + step], k)
+        srows = np.sort(values[lo : lo + step], axis=1)
+        feats[lo : lo + step, _ROW_STAT_COLS] = _row_statistics(srows, k)
+        if smallest is not None:
+            m = min(smallest.shape[1], n)  # the rest repeats the row maximum
+            smallest[lo : lo + step, :m] = srows[:, :m]
+            smallest[lo : lo + step, m:] = srows[:, -1:]
     _, col_best = column_minima(values, None, argmins=True)
     feats[:, _IS_COL_BEST] = np.bincount(col_best, minlength=n) / n
+    if col_argmins is not None:
+        col_argmins[...] = col_best
 
     if normalize:
         mu = feats.mean(axis=0)
@@ -110,29 +126,41 @@ def extract_features(c: CostMatrix, normalize: bool = True) -> np.ndarray:
     return feats
 
 
-def _row_statistics(rows: np.ndarray, k: int) -> np.ndarray:
-    """Raw features _ROW_STAT_COLS for a block of rows, one row each."""
-    n = rows.shape[1]
-    srows = np.sort(rows, axis=1)
+def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x.mean(axis=1) and x.std(axis=1), the same bits: numpy's own steps,
+    with the mean taken once."""
+    n = x.shape[1]
+    mean = x.sum(axis=1) / n
+    dev = x - mean[:, None]
+    dev *= dev
+    return mean, np.sqrt(dev.sum(axis=1) / n)
+
+
+def _row_statistics(srows: np.ndarray, k: int) -> np.ndarray:
+    """Raw features _ROW_STAT_COLS for a block of rows sorted ascending."""
+    n = srows.shape[1]
     row_min = srows[:, 0]
     row_max = srows[:, -1]
-    row_mean = srows.mean(axis=1)
-    row_std = srows.std(axis=1)
+    row_mean, row_std = _mean_std(srows)
 
-    # softmax of the negated row: low cost -> high probability
-    z = -srows
-    z = z - z.max(axis=1, keepdims=True)
+    # Entropy of the softmax of the negated row (low cost -> high
+    # probability): with z = row_min - C_ij <= 0, e = exp(z) and S = sum e,
+    # -sum p log p = log S - sum(e z) / S. S >= 1, and an e that underflows
+    # to 0 adds 0 where p log p would be 0 * -inf.
+    z = row_min[:, None] - srows
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    entropy = -(p * np.log(p)).sum(axis=1)
+    s = e.sum(axis=1)
+    entropy = np.log(s) - np.einsum("ij,ij->i", e, z) / s
 
-    mean_gap = np.diff(srows, axis=1).mean(axis=1)
-    difficulty = 1.0 / (mean_gap + 1e-12)
+    # the sorted gaps telescope: their mean is (max - min) / (n - 1)
+    difficulty = 1.0 / ((row_max - row_min) / (n - 1) + 1e-12)
 
-    near_best = (srows <= 1.1 * row_min[:, None]).sum(axis=1) / n
+    # rows are sorted, so the entries within 1.1 * row_min come first and
+    # the first entry above it is their count (n when the last is not above)
+    above = srows > 1.1 * row_min[:, None]
+    near_best = np.where(above[:, -1], above.argmax(axis=1), n) / n
 
-    k_mean = srows[:, :k].mean(axis=1)
-    k_std = srows[:, :k].std(axis=1)
+    k_mean, k_std = _mean_std(srows[:, :k])
     return np.column_stack([
         row_min, row_max, row_mean, row_std,
         entropy, difficulty, near_best,
@@ -185,11 +213,13 @@ def warm_solve(c: CostMatrix, model, cfg: PipelineConfig) -> tuple[Assignment, P
 
     if model.input_dim != FEATURE_DIM:
         raise ShapeMismatch(f"model expects d={model.input_dim}, features have d={FEATURE_DIM}")
+    # the feature pass fills it before predict reads it
+    smallest = np.empty((c.n, model.refine_k))
 
     def predict(feats: np.ndarray) -> np.ndarray:
-        return forward(model, feats, c)
+        return forward(model, feats, c, smallest=smallest)
 
-    return run_pipeline(c, predict, cfg, needs_features=True)
+    return run_pipeline(c, predict, cfg, needs_features=True, smallest=smallest)
 
 
 def run_pipeline(
@@ -197,6 +227,7 @@ def run_pipeline(
     predict,
     cfg: PipelineConfig,
     needs_features: bool = True,
+    smallest: np.ndarray | None = None,
 ) -> tuple[Assignment, PipelineReport]:
     """Timed five-stage pipeline around an arbitrary row-potential predictor.
 
@@ -205,12 +236,18 @@ def run_pipeline(
     strategy share this path so their stage timings mean the same thing.
     An output that is not n finite values raises ShapeMismatch or NonFinite
     whatever the gate would decide.
+
+    The feature stage fills `smallest` (see extract_features) for predict
+    to read, and its column argmins are the cold solve's harvest on a
+    fallback, so neither stage reads C for them again.
     """
     n = c.n
     report = PipelineReport()
+    col_argmins = np.empty(n, dtype=np.intp) if needs_features else None
 
     t0 = time.perf_counter_ns()
-    feats = extract_features(c) if needs_features else None
+    feats = (extract_features(c, smallest=smallest, col_argmins=col_argmins)
+             if needs_features else None)
     t1 = time.perf_counter_ns()
     u_hat = _row_potentials(predict(feats), n)
     t2 = time.perf_counter_ns()
@@ -220,7 +257,7 @@ def run_pipeline(
     fallback = rho < cfg.tau
     t4 = time.perf_counter_ns()
     if fallback:
-        assignment, _, stats = solve_cold(c)
+        assignment, _, stats = solve_cold(c, col_argmins)
     else:
         assignment, _, stats = solve_seeded(c, duals)
     t5 = time.perf_counter_ns()

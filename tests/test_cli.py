@@ -202,6 +202,45 @@ def test_cli_reports_package_errors(tmp_path, capsys):
     assert "error:" in captured.err.lower()
 
 
+def test_breakdown_without_pipeline_records_is_an_error(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("generator = dense\nsizes = 6\ntrials = 2\nstrategies = cold\nseed = 1\n")
+    records = str(tmp_path / "records.jsonl")
+    assert run(capsys, "bench", str(config), "--records", records)[0] == 0
+    code, out, err = run(capsys, "report", "breakdown", records)
+    assert code == 1 and out == ""
+    assert err == "error: no full-pipeline records to break down\n"
+
+
+def test_solve_missing_file_is_an_error(tmp_path, capsys):
+    code, out, err = run(capsys, "solve", str(tmp_path / "missing.lapm"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "missing.lapm" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "0"], "n must be >= 1"),
+    (["--n", "0", "--generator", "block"], "n must be >= 1"),
+    (["--n", "8", "--generator", "block", "--block-groups", "0"], "num_groups must be >= 1"),
+    (["--n", "8", "--generator", "block", "--block-noise", "-1"], "noise_sigma must be >= 0"),
+    (["--n", "8", "--mask-fraction", "2"], "mask_fraction must be in [0, 0.9]"),
+])
+def test_gen_bad_setting_is_an_error(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, "gen", "matrix", *argv, "--out", str(tmp_path / "m.lapm"))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--lambda-cs"])
+def test_train_negative_rate_is_an_error(tmp_path, capsys, flag):
+    dpath = str(tmp_path / "d.lapd")
+    run(capsys, "gen", "dataset", "--n", "6", "--count", "2", "--out", dpath)
+    code, out, err = run(capsys, "train", "--dataset", dpath, "--out", str(tmp_path / "m.ckpt"),
+                         flag, "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "must be nonnegative" in err
+
+
 @pytest.mark.parametrize("text", ["1,2\n3\n", "1,abc\n3,4\n"], ids=["ragged", "non-numeric"])
 def test_solve_rejects_malformed_csv(tmp_path, capsys, text):
     path = tmp_path / "bad.csv"

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualseed import baselines, lap_core, warmstart
+from dualseed import baselines, lap_core, rowdualnet, warmstart
 from dualseed.datagen import BlockParams, gen_block, gen_dense
 from dualseed.errors import NonFinite, ShapeMismatch
 from dualseed.lap_core import CostMatrix, DualPotentials, column_minima, reduced_costs, solve_cold
+from dualseed.rowdualnet import forward, init_model
 from dualseed.warmstart import (
     FEATURE_DIM,
+    FEATURE_K,
     FEATURE_NAMES,
     STAGE_NAMES,
     PipelineConfig,
@@ -118,34 +120,95 @@ def _sha(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-def _golden_instance(name):
-    if name == "block-256":
-        return gen_block(BlockParams(n=256, seed=777))
-    return gen_dense(int(name.split("-")[1]), seed=777)
+def _golden_values(name):
+    """Costs of a named instance: "block-256", "dense-<n>", or "levels-<k>",
+    the tie-heavy matrices of test_rank_features_tie_heavy_match_stable_argsort."""
+    family, size = name.split("-")
+    if family == "levels":
+        return _tie_heavy(int(size))
+    if family == "block":
+        return gen_block(BlockParams(n=int(size), seed=777)).values
+    return gen_dense(int(size), seed=777).values
 
 
 # Bytes of the normalised 10-column features, pinned: a change that moves
 # them changes what every model reads, not only how fast it is computed.
 # Recorded with numpy 2.4 on x86-64; exp and log may round differently on
-# another numpy build or CPU.
+# another numpy build or CPU. Re-recorded when entropy and difficulty took
+# their one-pass forms, after test_row_statistics_match_direct_formulas
+# held on these instances.
 GOLDEN_FEATURES = {
-    "dense-128": "7bceaa64e27570dceecf8136a818ef2a275fd039e3b8340507bd542978221044",
-    "block-256": "7ac121d8acc944d9d38e8122ff0d54fe2b2f4b24c20d061e9d99a78a40d9dd86",
-    "levels-1": "215751eb5941b42e662604f27bd21d1a45b48ca2ee3b4e8740a7dc5c7c1f23ad",
-    "levels-2": "606ab503cbcd4a8fc9fd034312383d5381cbc9e4f780cc60507532265dc2e7a6",
-    "levels-3": "7e85659fa0f5664592339805855c95753081993a94525aff2ecda36ade65db54",
-    "levels-50": "babd2e8faae0b1806ed4e21fb2da82a29d475cdf88a59e8c56fdb5671b3a0f07",
+    "dense-128": "f4b6342352fdcabb981a9d281ed57856420bde223a06093f829c59ac4161e0ce",
+    "block-256": "c26d6b1e1e73b3efe9cc5d430e7163833d01e00cebe808ef51948a7fdef6eec6",
+    "levels-1": "e3fb3fbf248246804535d46ad2308067e9f7dd0a702f6a285627b2f4c4cdeba3",
+    "levels-2": "44e8870c56d6a47ae5669d80653be17a2bae395586ebd9f5cc7d7604f0523233",
+    "levels-3": "7a0cb160623ceff4b3b88c3925fea18ddf171f3fbf866f62f7689edf32cfbaf7",
+    "levels-50": "6ee95361d7d44862b84beb2dbc6bf4eb3946ef60ea23e30a8cc7c5f968eb40e5",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_FEATURES))
 def test_features_golden_bytes(name):
-    if name.startswith("levels"):
-        # the tie-heavy matrices of test_rank_features_tie_heavy_match_stable_argsort
-        c = CostMatrix.from_array(_tie_heavy(int(name.split("-")[1])))
-    else:
-        c = _golden_instance(name)
+    c = CostMatrix.from_array(_golden_values(name))
     assert _sha(extract_features(c)) == GOLDEN_FEATURES[name]
+
+
+def _direct_row_statistics(rows, k):
+    """The row statistics by their direct formulas (softmax probabilities,
+    the mean of the sorted gaps), the reference for extract_features' forms."""
+    n = rows.shape[1]
+    srows = np.sort(rows, axis=1)
+    row_min = srows[:, 0]
+    row_max = srows[:, -1]
+    row_mean = srows.mean(axis=1)
+    row_std = srows.std(axis=1)
+
+    # softmax of the negated row: low cost -> high probability
+    z = -srows
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    entropy = -(p * np.log(p)).sum(axis=1)
+
+    mean_gap = np.diff(srows, axis=1).mean(axis=1)
+    difficulty = 1.0 / (mean_gap + 1e-12)
+
+    near_best = (srows <= 1.1 * row_min[:, None]).sum(axis=1) / n
+
+    k_mean = srows[:, :k].mean(axis=1)
+    k_std = srows[:, :k].std(axis=1)
+    return np.column_stack([
+        row_min, row_max, row_mean, row_std,
+        entropy, difficulty, near_best,
+        k_mean, k_std,
+    ])
+
+
+@pytest.mark.parametrize("name,scale", [(name, 1.0) for name in sorted(GOLDEN_FEATURES)]
+                         + [("dense-1024", 1.0), ("dense-128", 1e-9), ("block-256", 1e-9)])
+def test_row_statistics_match_direct_formulas(name, scale):
+    """Entropy and difficulty agree with the direct formulas to float64
+    rounding (1e-12, relative and absolute, covers n <= 2048); the other
+    seven row statistics are the same bits."""
+    values = scale * _golden_values(name)
+    cols = warmstart._ROW_STAT_COLS
+    got = _raw_features(values)[:, cols]
+    want = _direct_row_statistics(values, min(FEATURE_K, values.shape[0]))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    exact = [i for i, col in enumerate(cols) if col not in (F["entropy"], F["difficulty"])]
+    assert np.array_equal(got[:, exact], want[:, exact])
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["x1000", "floor-x1000"])
+def test_wide_rows_give_finite_features(integer):
+    """Every row spans more than 745 above its minimum, so exp underflows to
+    0 in the softmax; entropy stays finite and the warm path solves them."""
+    values = 1000 * gen_dense(64, seed=3).values
+    c = CostMatrix.from_array(np.floor(values) if integer else values)
+    assert np.isfinite(extract_features(c, normalize=False)).all()
+    assert np.isfinite(extract_features(c)).all()
+    assignment, _ = warm_solve(c, init_model(FEATURE_DIM, seed=0), PipelineConfig())
+    assert assignment.total_cost == solve_cold(c)[0].total_cost
 
 
 def test_entropy_bounds_and_order_stats():
@@ -380,7 +443,7 @@ GOLDEN_PIPELINE = {
 
 @pytest.mark.parametrize("name,predictor,tau", sorted(GOLDEN_PIPELINE))
 def test_pipeline_golden_outputs(name, predictor, tau):
-    c = _golden_instance(name)
+    c = CostMatrix.from_array(_golden_values(name))
     if predictor == "normal":
         u_hat = np.random.default_rng(31).normal(0.0, 0.3, c.n)
     else:
@@ -396,8 +459,6 @@ def test_pipeline_golden_outputs(name, predictor, tau):
 def test_pipeline_builds_no_n_squared_temporary(tau):
     """Features, model, completion, gate and solve stay within 0.25 C of
     allocation above C itself, whichever way the gate decides."""
-    from dualseed.rowdualnet import forward, init_model
-
     c = gen_dense(1024, seed=3)
     model = init_model(FEATURE_DIM, hidden_dim=8, seed=0)
     cfg = PipelineConfig(tau=tau)
@@ -417,8 +478,6 @@ def test_pipeline_builds_no_n_squared_temporary(tau):
 
 
 def test_warm_solve_checks_model_dim():
-    from dualseed.rowdualnet import init_model
-
     rng = np.random.default_rng(13)
     c = CostMatrix.from_array(rng.random((6, 6)))
     model = init_model(FEATURE_DIM + 3, hidden_dim=8, seed=0)
@@ -427,8 +486,6 @@ def test_warm_solve_checks_model_dim():
 
 
 def test_warm_solve_runs_end_to_end():
-    from dualseed.rowdualnet import init_model
-
     rng = np.random.default_rng(14)
     c = CostMatrix.from_array(rng.random((10, 10)))
     a_cold, _, _ = solve_cold(c)
@@ -436,3 +493,76 @@ def test_warm_solve_runs_end_to_end():
     assignment, report = warm_solve(c, model, PipelineConfig())
     assert assignment.total_cost == pytest.approx(a_cold.total_cost, abs=1e-12)
     assert report.total_cost == assignment.total_cost
+
+
+# ------------------------------------------------ hand-over from the feature pass
+
+@pytest.mark.parametrize("name,n", [(name, None) for name in sorted(GOLDEN_FEATURES)]
+                         + [("dense-8", 8)])
+def test_forward_reads_the_feature_pass_smallest(name, n):
+    """The K smallest costs the feature pass fills are _sorted_k_costs's, so
+    forward gives the same bits with them; dense-8 has K = 16 > n."""
+    c = CostMatrix.from_array(_golden_values(name))
+    model = init_model(FEATURE_DIM, seed=5)
+    smallest = np.empty((c.n, model.refine_k))
+    feats = extract_features(c, smallest=smallest)
+    assert np.array_equal(smallest, rowdualnet._sorted_k_costs(c.values, model.refine_k))
+    assert np.array_equal(forward(model, feats, c, smallest=smallest), forward(model, feats, c))
+
+
+def _solve_parts(result):
+    assignment, duals, stats = result
+    counters = vars(stats).copy()
+    del counters["phase_times"]
+    return assignment.row_to_col.tolist(), duals.u.tobytes(), duals.v.tobytes(), counters
+
+
+@pytest.mark.parametrize("name", ["dense-128", "block-256", "levels-3"])
+def test_solve_cold_takes_the_feature_pass_argmins(name):
+    c = CostMatrix.from_array(_golden_values(name))
+    argmins = np.empty(c.n, dtype=np.intp)
+    extract_features(c, col_argmins=argmins)
+    assert _solve_parts(solve_cold(c, col_argmins=argmins)) == _solve_parts(solve_cold(c))
+
+
+def test_warm_fallback_passes_over_c_for_argmins_once(monkeypatch):
+    """On a fallback the feature pass's column argmins are the cold solve's
+    harvest, and the refinement reads the feature pass's K smallest."""
+    c = gen_block(BlockParams(n=64, seed=3))
+    want = solve_cold(c)[0].total_cost
+    argmin_passes = []
+
+    def counting(*args, **kwargs):
+        argmin_passes.append(kwargs.get("argmins", False))
+        return column_minima(*args, **kwargs)
+
+    def no_selection(*args):
+        raise AssertionError("the refinement selected the K smallest costs again")
+
+    for module in (lap_core, warmstart, rowdualnet):
+        monkeypatch.setattr(module, "column_minima", counting)
+    monkeypatch.setattr(rowdualnet, "_sorted_k_costs", no_selection)
+    assignment, report = warm_solve(c, init_model(FEATURE_DIM, seed=0), PipelineConfig())
+    assert report.fallback_triggered
+    assert argmin_passes.count(True) == 1
+    assert assignment.total_cost == want
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros(5, dtype=np.intp), np.zeros((6, 1), dtype=np.intp), np.zeros(6),
+    np.full(6, -1), np.full(6, 6),
+], ids=["short", "2-d", "float", "negative", "past-n"])
+def test_solve_cold_rejects_malformed_argmins(bad):
+    c = CostMatrix.from_array(np.random.default_rng(8).random((6, 6)))
+    with pytest.raises(ShapeMismatch):
+        solve_cold(c, col_argmins=bad)
+
+
+def test_hand_over_buffers_are_checked():
+    c = CostMatrix.from_array(np.random.default_rng(9).random((6, 6)))
+    model = init_model(FEATURE_DIM, hidden_dim=8, refine_k=4, seed=0)
+    with pytest.raises(ShapeMismatch):
+        extract_features(c, smallest=np.empty((5, 4)))
+    feats = extract_features(c)
+    with pytest.raises(ShapeMismatch):
+        forward(model, feats, c, smallest=np.empty((6, 3)))
